@@ -1,6 +1,6 @@
 // Figure 7.6 — search time vs. memory size. Raw traces live on the
 // simulated disk (PagedTraceSource); every exact candidate evaluation
-// materializes the candidate's record through the shared LRU buffer pool
+// materializes the candidate's record through the shared buffer pool
 // whose capacity is a fraction of the data size — the real storage-backed
 // query path, not the old access-hook emulation. Reported modeled time =
 // wall time + modeled HDD I/O latency charged to the queries

@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark): index build, signature computation,
 // query latency per k, brute-force comparison, intersection primitives
-// (span-based and packed), and the cold-byte codec (encode/decode/packed
-// galloping vs the decoded baseline).
+// (span-based and packed), the cold-byte codec (encode/decode/packed
+// galloping vs the decoded baseline), and the buffer pool's pin hit path.
 #include <benchmark/benchmark.h>
 
 #include <random>
@@ -11,6 +11,8 @@
 #include "exp/harness.h"
 #include "exp/presets.h"
 #include "hash/hierarchical_hasher.h"
+#include "storage/buffer_pool.h"
+#include "storage/sim_disk.h"
 #include "trace/trace_source.h"
 #include "util/codec.h"
 
@@ -168,6 +170,36 @@ void BM_IncrementalInsert(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IncrementalInsert);
+
+// The pin hit path: Pin + Unpin of resident pages, the per-node and
+// per-record cost of every paged read. Threads share one pool and one hot
+// set (64 pages over the default 16 shards), as concurrent readers of one
+// index do, so the multi-thread rows price contention on the hit path.
+void BM_PoolPinHit(benchmark::State& state) {
+  constexpr PageId kHotPages = 64;
+  static SimDisk* disk = [] {
+    auto* d = new SimDisk();
+    for (PageId i = 0; i < kHotPages; ++i) d->Allocate();
+    return d;
+  }();
+  static BufferPool* pool = [] {
+    auto* p = new BufferPool(disk, 4 * kHotPages, /*num_shards=*/0);
+    for (PageId id = 0; id < kHotPages; ++id) {
+      p->Pin(id);
+      p->Unpin(id);
+    }
+    return p;
+  }();
+  PageId id = static_cast<PageId>(state.thread_index()) * 7;
+  for (auto _ : state) {
+    const uint8_t* data = pool->Pin(id % kHotPages);
+    benchmark::DoNotOptimize(data[0]);
+    pool->Unpin(id % kHotPages);
+    ++id;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PoolPinHit)->Threads(1)->Threads(4)->UseRealTime();
 
 }  // namespace
 }  // namespace dtrace

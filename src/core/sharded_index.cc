@@ -200,15 +200,15 @@ TopKResult ShardedIndex::RoutedFanOut(EntityId q, int k,
       const int sid = static_cast<int>(s);
       bool stable = false;
       for (int attempt = 0; attempt < 4 && !stable; ++attempt) {
+        // Drop the previous attempt's pin before re-pinning: on an
+        // in-memory tree it holds the read latch, and the writer-preference
+        // latch queues a second acquisition behind a writer that is itself
+        // waiting for the first to drain.
+        if (s < pins.size()) pins.pop_back();
         const uint64_t v = shards_[s]->version();
         coarse[s] = router_.SnapshotSignature(sid);
-        auto pin = shards_[s]->PinForRead();
-        stable = pin.version() == v;
-        if (s < pins.size()) {
-          pins[s] = std::move(pin);
-        } else {
-          pins.push_back(std::move(pin));
-        }
+        pins.push_back(shards_[s]->PinForRead());
+        stable = pins[s].version() == v;
       }
       if (!stable) std::fill(coarse[s].begin(), coarse[s].end(), 0);
       // The lane reads candidate traces as of its own pin's version, so a

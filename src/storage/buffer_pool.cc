@@ -21,6 +21,10 @@ size_t ResolveShardCount(size_t requested, size_t capacity_pages) {
   return std::max<size_t>(1, std::min(shards, capacity_pages / 4));
 }
 
+// How long a pinner waits on a shard with nothing to release before it
+// aborts as stalled (a caller deadlocking against its own pins).
+constexpr auto kStallTimeout = std::chrono::seconds(10);
+
 }  // namespace
 
 BufferPool::BufferPool(SimDisk* disk, size_t capacity_pages, size_t num_shards,
@@ -36,23 +40,12 @@ BufferPool::BufferPool(SimDisk* disk, size_t capacity_pages, size_t num_shards,
     // Distribute frames as evenly as possible; every shard gets >= 1.
     const size_t frames = capacity_pages / shards +
                           (s < capacity_pages % shards ? 1 : 0);
-    shard->frames.resize(frames);
+    shard->frames = std::make_unique<Frame[]>(frames);
+    shard->num_frames = frames;
     shard->free_frames.reserve(frames);
     for (size_t i = 0; i < frames; ++i) shard->free_frames.push_back(i);
-    // One slot per page this shard owns (ids with id % shards == s).
-    shard->resident.assign(disk->num_pages() / shards + 1, -1);
     shards_.push_back(std::move(shard));
   }
-}
-
-// Returns the resident slot for `id` (the shard owns ids with
-// id % num_shards == its index, so slots are indexed by id / num_shards),
-// growing the table for pages allocated after pool construction. Caller
-// holds the shard lock.
-int32_t& BufferPool::ResidentSlot(Shard& s, PageId id) const {
-  const size_t slot = id / shards_.size();
-  if (slot >= s.resident.size()) s.resident.resize(slot + 1, -1);
-  return s.resident[slot];
 }
 
 BufferPool::~BufferPool() { FlushAll(); }
@@ -67,36 +60,104 @@ std::unique_lock<std::mutex> BufferPool::LockShard(Shard& s) {
   return lock;
 }
 
+// The shard owns ids with id % num_shards == its index, so slots are
+// indexed by id / num_shards.
+BufferPool::Frame* BufferPool::LookupFrame(const Shard& s, PageId id) const {
+  const std::atomic<uint32_t>* slot = s.resident.Find(id / shards_.size());
+  if (slot == nullptr) return nullptr;
+  const uint32_t frame = slot->load(std::memory_order_acquire);
+  return frame == 0 ? nullptr : &s.frames[frame - 1];
+}
+
+void BufferPool::SetSlot(Shard& s, PageId id, uint32_t frame) const {
+  s.resident.EnsureSlot(id / shards_.size())
+      .store(frame, std::memory_order_release);
+}
+
+BufferPool::Frame* BufferPool::TryPinResident(Shard& s, PageId id,
+                                              PoolClient client) {
+  Frame* f = LookupFrame(s, id);
+  if (f == nullptr) return nullptr;
+  uint32_t st = f->state.load(std::memory_order_relaxed);
+  do {
+    if ((st & kBusy) != 0) return nullptr;  // mid-load or being reclaimed
+  } while (!f->state.compare_exchange_weak(st, st + 1,
+                                           std::memory_order_acquire,
+                                           std::memory_order_relaxed));
+  // The pin keeps kBusy clear, so the frame's id is now stable. The slot
+  // may have been stale — the frame evicted and reloaded with another page
+  // between the lookup and the CAS — so give such a pin back.
+  if (f->id.load(std::memory_order_relaxed) != id) {
+    ReleasePin(s, *f);
+    return nullptr;
+  }
+  if (!f->referenced.load(std::memory_order_relaxed)) {
+    f->referenced.store(true, std::memory_order_relaxed);
+  }
+  f->hits[static_cast<size_t>(client)].fetch_add(1,
+                                                 std::memory_order_relaxed);
+  return f;
+}
+
+void BufferPool::ReleasePin(Shard& s, Frame& f) {
+  // seq_cst on both sides of the waiter handshake: either this decrement is
+  // ordered before a waiter's registration (so the waiter's recount sees the
+  // frame free), or this load sees the waiter and wakes it under the lock.
+  const uint32_t prev = f.state.fetch_sub(1, std::memory_order_seq_cst);
+  if ((prev & kPinMask) == 1 && s.waiters.load(std::memory_order_seq_cst) != 0) {
+    const std::lock_guard<std::mutex> lock(s.mu);
+    s.cv.notify_all();
+  }
+}
+
+int64_t BufferPool::ClockSweep(Shard& s) {
+  for (size_t step = 0; step < 2 * s.num_frames; ++step) {
+    const size_t idx = s.hand;
+    s.hand = idx + 1 == s.num_frames ? 0 : idx + 1;
+    Frame& f = s.frames[idx];
+    // Pinned, or busy (free frames are claimed from the free list).
+    if (f.state.load(std::memory_order_relaxed) != 0) continue;
+    if (f.referenced.exchange(false, std::memory_order_relaxed)) {
+      continue;  // second chance
+    }
+    // A lock-free pin may land between the load and here; then skip it.
+    uint32_t idle = 0;
+    if (f.state.compare_exchange_strong(idle, kBusy,
+                                        std::memory_order_acquire,
+                                        std::memory_order_relaxed)) {
+      return static_cast<int64_t>(idx);
+    }
+  }
+  return -1;
+}
+
 Status BufferPool::GetFrame(PageId id, bool mutate, PinOutcome* outcome,
                             PoolClient client, Frame** out) {
   const auto kind = static_cast<size_t>(client);
-  *out = nullptr;
   Shard& s = ShardOf(id);
+  if (!mutate) {
+    *out = TryPinResident(s, id, client);
+    if (*out != nullptr) return Status::Ok();
+  }
+  *out = nullptr;
   auto lock = LockShard(s);
   for (;;) {
-    const int32_t slot = ResidentSlot(s, id);
-    if (slot >= 0) {
-      Frame& f = s.frames[static_cast<size_t>(slot)];
-      if (f.loading) {
-        // Another pinner is reading this page from disk; share its I/O.
-        // (If that load fails, the loader unwinds the claim and the slot
-        // goes non-resident — this waiter then retries the load itself and
-        // reports its own outcome, so no pinner inherits another's error.)
+    if (Frame* f = LookupFrame(s, id)) {
+      if ((f->state.load(std::memory_order_acquire) & kBusy) != 0) {
+        // Under the lock a mapped busy frame is mid-load: another pinner is
+        // reading this page from disk; share its I/O. (If that load fails,
+        // the loader unwinds the claim and the slot goes non-resident —
+        // this waiter then retries the load itself and reports its own
+        // outcome, so no pinner inherits another's error.)
         s.cv.wait(lock);
         continue;
       }
-      ++s.hits;
-      ++s.client_hits[kind];
-      if (f.pins == 0) {
-        if (f.in_lru) {
-          s.lru.erase(f.lru_pos);
-          f.in_lru = false;
-        }
-        ++s.pinned_frames;
-      }
-      ++f.pins;
-      f.dirty = f.dirty || mutate;
-      *out = &f;
+      // Only the locked path sets kBusy, so this pin cannot be refused.
+      f->state.fetch_add(1, std::memory_order_acquire);
+      f->referenced.store(true, std::memory_order_relaxed);
+      f->dirty = f->dirty || mutate;
+      f->hits[kind].fetch_add(1, std::memory_order_relaxed);
+      *out = f;
       return Status::Ok();
     }
     // A reload of a page whose dirty frame is still being written back must
@@ -105,56 +166,68 @@ Status BufferPool::GetFrame(PageId id, bool mutate, PinOutcome* outcome,
       s.cv.wait(lock);
       continue;
     }
-    // Miss: claim a frame.
+    // Miss: claim a frame (free frames are already busy; a victim is made
+    // busy by the sweep).
     size_t frame_idx;
     bool evicting = false;
     if (!s.free_frames.empty()) {
       frame_idx = s.free_frames.back();
       s.free_frames.pop_back();
-    } else if (!s.lru.empty()) {
-      frame_idx = s.lru.front();
-      s.lru.pop_front();
-      s.frames[frame_idx].in_lru = false;
+    } else if (const int64_t victim = ClockSweep(s); victim >= 0) {
+      frame_idx = static_cast<size_t>(victim);
       ++s.evictions;
       evicting = true;
     } else {
-      // Every frame is pinned or mid-I/O. If I/O is in flight, or another
+      // Every frame was pinned or mid-I/O as the hand passed. Unpins do not
+      // take the lock, so register as a waiter first (an Unpin to zero that
+      // sees one locks to wake it), then look again: a frame released since
+      // the sweep means retry, not wait. If I/O is in flight, or another
       // pinner can still Unpin, a frame will free up — wait (bounded, so a
-      // caller deadlocking against its own pins still aborts diagnosably
-      // like the unsharded pool did). A shard with neither is a bug.
-      DT_CHECK_MSG(s.io_in_flight > 0 || s.pinned_frames > 0,
-                   "buffer pool shard exhausted: all pages pinned");
-      const auto status = s.cv.wait_for(lock, std::chrono::seconds(10));
-      DT_CHECK_MSG(status != std::cv_status::timeout,
-                   "buffer pool shard stalled: pinned pages never released");
+      // caller deadlocking against its own pins still aborts diagnosably).
+      // A shard with neither is a bug.
+      s.waiters.fetch_add(1, std::memory_order_seq_cst);
+      bool idle = false;
+      size_t pinned = 0;
+      for (size_t i = 0; i < s.num_frames; ++i) {
+        const uint32_t st = s.frames[i].state.load(std::memory_order_seq_cst);
+        idle = idle || st == 0;
+        pinned += (st & kPinMask) != 0 ? 1 : 0;
+      }
+      if (!idle) {
+        DT_CHECK_MSG(s.io_in_flight > 0 || pinned > 0,
+                     "buffer pool shard exhausted: all pages pinned");
+        const auto status = s.cv.wait_for(lock, kStallTimeout);
+        DT_CHECK_MSG(status != std::cv_status::timeout,
+                     "buffer pool shard stalled: pinned pages never released");
+      }
+      s.waiters.fetch_sub(1, std::memory_order_seq_cst);
       continue;
     }
-    ++s.misses;
     ++s.client_misses[kind];
     if (outcome != nullptr) outcome->missed = true;
     Frame& f = s.frames[frame_idx];
-    const PageId old_id = f.id;
+    const PageId old_id = f.id.load(std::memory_order_relaxed);
     const bool write_back = evicting && f.dirty;
     if (evicting) {
-      ResidentSlot(s, old_id) = -1;
+      SetSlot(s, old_id, 0);
       if (write_back) s.writing_back.insert(old_id);
       --s.client_resident[f.client];
     }
-    ResidentSlot(s, id) = static_cast<int32_t>(frame_idx);
+    SetSlot(s, id, static_cast<uint32_t>(frame_idx + 1));
     f.client = static_cast<uint8_t>(kind);
     ++s.client_resident[kind];
-    f.id = id;
-    f.pins = 1;
-    ++s.pinned_frames;
+    f.id.store(id, std::memory_order_relaxed);
+    f.state.store(kBusy | 1, std::memory_order_relaxed);  // the loader's pin
+    // Unreferenced until hit: a page touched once (a scanned trace page) is
+    // the next victim, ahead of pages that keep being hit (tree pages).
+    f.referenced.store(false, std::memory_order_relaxed);
     f.dirty = mutate;
-    f.loading = true;
-    f.in_lru = false;
     ++s.io_in_flight;
     lock.unlock();
     // Disk I/O outside the shard lock: misses on other pages — and all
     // traffic on other shards — proceed concurrently. The frame is
-    // exclusively ours (loading=true keeps readers out, it is not in the
-    // LRU, and its map entries route waiters to the cv).
+    // exclusively ours (kBusy turns lock-free pinners away, the sweep skips
+    // it, and its slot routes locked pinners to the cv).
     //
     // Transient faults are retried in place with exponential backoff; a
     // checksum mismatch counts as a failed attempt (the stored page may be
@@ -194,22 +267,24 @@ Status BufferPool::GetFrame(PageId id, bool mutate, PinOutcome* outcome,
     }
     lock.lock();
     --s.io_in_flight;
-    f.loading = false;
     if (write_back) s.writing_back.erase(old_id);
     if (!load.ok()) {
       // Unwind the claim completely: the frame never held valid bytes, so
       // the pool must look exactly as if this Pin never happened (no Unpin
-      // owed, the frame back on the free list, the slot non-resident so a
-      // waiter re-attempts the load itself).
-      ResidentSlot(s, id) = -1;
+      // owed, the frame back on the free list — still busy — and the slot
+      // non-resident so a waiter re-attempts the load itself).
+      SetSlot(s, id, 0);
       --s.client_resident[kind];
-      f.pins = 0;
-      --s.pinned_frames;
+      f.state.store(kBusy, std::memory_order_relaxed);
+      f.referenced.store(false, std::memory_order_relaxed);
       f.dirty = false;
       s.free_frames.push_back(frame_idx);
       s.cv.notify_all();
       return load;
     }
+    // Publish the bytes: the loader keeps its pin, and lock-free pinners
+    // that acquire this state see the loaded page.
+    f.state.store(1, std::memory_order_release);
     s.cv.notify_all();
     *out = &f;
     return Status::Ok();
@@ -242,21 +317,16 @@ uint8_t* BufferPool::PinMutable(PageId id, PoolClient client) {
 }
 
 void BufferPool::Unpin(PageId id) {
+  // The caller's pin keeps the frame mapped, so the slot is current. The
+  // misuse checks are exact for a single thread; under concurrency a
+  // transient pin (a lock-free pinner backing out of a stale slot) can
+  // mask an unpin past the count.
   Shard& s = ShardOf(id);
-  auto lock = LockShard(s);
-  const int32_t slot = ResidentSlot(s, id);
-  DT_CHECK_MSG(slot >= 0, "unpin of non-resident page");
-  const size_t frame_idx = static_cast<size_t>(slot);
-  Frame& f = s.frames[frame_idx];
-  DT_CHECK_MSG(f.pins > 0, "unpin of unpinned page");
-  if (--f.pins == 0) {
-    --s.pinned_frames;
-    s.lru.push_back(frame_idx);
-    f.lru_pos = std::prev(s.lru.end());
-    f.in_lru = true;
-    // Wake waiters blocked on an exhausted shard.
-    s.cv.notify_all();
-  }
+  Frame* f = LookupFrame(s, id);
+  DT_CHECK_MSG(f != nullptr, "unpin of non-resident page");
+  DT_CHECK_MSG((f->state.load(std::memory_order_relaxed) & kPinMask) != 0,
+               "unpin of unpinned page");
+  ReleasePin(s, *f);
 }
 
 void BufferPool::FlushAll() {
@@ -264,8 +334,8 @@ void BufferPool::FlushAll() {
     Shard& s = *shard;
     // Collect candidates under the lock, then write each outside it from a
     // stable copy (the no-I/O-under-lock rule; FlushAll is a cold path).
-    // Only unpinned frames are flushed: a pins == 0 frame can have no legal
-    // writer (mutation requires a live PinMutable), so the copy is a
+    // Only unpinned, idle frames are flushed: such a frame can have no
+    // legal writer (mutation requires a live PinMutable), so the copy is a
     // consistent snapshot and clearing `dirty` loses nothing — a page still
     // pinned stays dirty and reaches the disk on its eviction or a later
     // flush. The frame is then pinned across the write, so no concurrent
@@ -275,8 +345,9 @@ void BufferPool::FlushAll() {
     std::vector<size_t> dirty_frames;
     {
       auto lock = LockShard(s);
-      for (size_t idx = 0; idx < s.frames.size(); ++idx) {
-        if (s.frames[idx].dirty && s.frames[idx].pins == 0) {
+      for (size_t idx = 0; idx < s.num_frames; ++idx) {
+        if (s.frames[idx].dirty &&
+            s.frames[idx].state.load(std::memory_order_relaxed) == 0) {
           dirty_frames.push_back(idx);
         }
       }
@@ -287,16 +358,11 @@ void BufferPool::FlushAll() {
       PageId pid;
       {
         auto lock = LockShard(s);
-        if (!f.dirty || f.loading || f.pins != 0) {
-          continue;  // evicted/reloaded meanwhile, or pinned by a writer
+        if (!f.dirty || f.state.load(std::memory_order_relaxed) != 0) {
+          continue;  // evicted/reloaded meanwhile, or pinned
         }
-        pid = f.id;
-        if (f.in_lru) {
-          s.lru.erase(f.lru_pos);
-          f.in_lru = false;
-        }
-        ++s.pinned_frames;
-        f.pins = 1;
+        pid = f.id.load(std::memory_order_relaxed);
+        f.state.fetch_add(1, std::memory_order_acquire);
         copy = f.page;
         f.dirty = false;
       }
@@ -310,7 +376,7 @@ void BufferPool::FlushAll() {
         if (ws.ok()) break;
       }
       DT_CHECK_MSG(ws.ok(), "dirty page flush failed unrecoverably");
-      Unpin(pid);
+      ReleasePin(s, f);
     }
   }
 }
@@ -319,8 +385,8 @@ void BufferPool::Discard(PageId id) {
   Shard& s = ShardOf(id);
   auto lock = LockShard(s);
   for (;;) {
-    const int32_t slot = ResidentSlot(s, id);
-    if (slot < 0) {
+    Frame* f = LookupFrame(s, id);
+    if (f == nullptr) {
       // Not resident — but a dirty victim's write-back may still be in
       // flight; wait it out so the disk-side Free that follows us cannot
       // race a straggling Write to the page.
@@ -330,20 +396,35 @@ void BufferPool::Discard(PageId id) {
       }
       return;
     }
-    Frame& f = s.frames[static_cast<size_t>(slot)];
-    if (f.loading) {
+    uint32_t st = f->state.load(std::memory_order_acquire);
+    if ((st & kBusy) != 0) {  // mid-load
       s.cv.wait(lock);
       continue;
     }
-    DT_CHECK_MSG(f.pins == 0, "Discard of a pinned page");
-    DT_CHECK_MSG(!f.dirty, "Discard of a dirty page");
-    ResidentSlot(s, id) = -1;
-    --s.client_resident[f.client];
-    if (f.in_lru) {
-      s.lru.erase(f.lru_pos);
-      f.in_lru = false;
+    if (st != 0) {
+      // The caller owns the page, so this pin is a lock-free pinner of
+      // another page that followed a stale slot here and is about to give
+      // it back; wait for that (same waiter handshake as an exhausted
+      // shard). A real pin is a caller bug and stalls into the abort.
+      s.waiters.fetch_add(1, std::memory_order_seq_cst);
+      if (f->state.load(std::memory_order_seq_cst) != 0) {
+        const auto status = s.cv.wait_for(lock, kStallTimeout);
+        DT_CHECK_MSG(status != std::cv_status::timeout,
+                     "Discard of a pinned page");
+      }
+      s.waiters.fetch_sub(1, std::memory_order_seq_cst);
+      continue;
     }
-    s.free_frames.push_back(static_cast<size_t>(slot));
+    if (!f->state.compare_exchange_strong(st, kBusy,
+                                          std::memory_order_acquire,
+                                          std::memory_order_relaxed)) {
+      continue;  // a transient pin landed; look again
+    }
+    DT_CHECK_MSG(!f->dirty, "Discard of a dirty page");
+    SetSlot(s, id, 0);
+    --s.client_resident[f->client];
+    f->referenced.store(false, std::memory_order_relaxed);
+    s.free_frames.push_back(static_cast<size_t>(f - s.frames.get()));
     s.cv.notify_all();
     return;
   }
@@ -353,15 +434,20 @@ BufferPool::Stats BufferPool::stats() const {
   Stats out;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    out.hits += shard->hits;
-    out.misses += shard->misses;
     out.evictions += shard->evictions;
     out.lock_wait_seconds += shard->lock_wait_seconds;
     for (size_t c = 0; c < kNumPoolClients; ++c) {
-      out.client_hits[c] += shard->client_hits[c];
       out.client_misses[c] += shard->client_misses[c];
       out.client_resident[c] += shard->client_resident[c];
+      for (size_t i = 0; i < shard->num_frames; ++i) {
+        out.client_hits[c] +=
+            shard->frames[i].hits[c].load(std::memory_order_relaxed);
+      }
     }
+  }
+  for (size_t c = 0; c < kNumPoolClients; ++c) {
+    out.hits += out.client_hits[c];
+    out.misses += out.client_misses[c];
   }
   return out;
 }
@@ -369,12 +455,12 @@ BufferPool::Stats BufferPool::stats() const {
 void BufferPool::ResetStats() {
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    shard->hits = 0;
-    shard->misses = 0;
     shard->evictions = 0;
     shard->lock_wait_seconds = 0.0;
     for (size_t c = 0; c < kNumPoolClients; ++c) {
-      shard->client_hits[c] = 0;
+      for (size_t i = 0; i < shard->num_frames; ++i) {
+        shard->frames[i].hits[c].store(0, std::memory_order_relaxed);
+      }
       shard->client_misses[c] = 0;
       // client_resident is occupancy state, not a counter: it must keep
       // matching the frames actually resident, so it survives a reset.

@@ -1,9 +1,9 @@
 #ifndef DTRACE_STORAGE_BUFFER_POOL_H_
 #define DTRACE_STORAGE_BUFFER_POOL_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <unordered_set>
@@ -21,19 +21,23 @@ namespace dtrace {
 enum class PoolClient : uint8_t { kTrace = 0, kTree = 1 };
 inline constexpr size_t kNumPoolClients = 2;
 
-/// Sharded LRU buffer pool over a SimDisk. Frames hold whole pages; pinned
-/// pages are never evicted; dirty pages are written back on eviction or
-/// FlushAll. The memory-size experiment (Sec. 7.6) varies `capacity_pages`
-/// relative to the data size.
+/// Sharded CLOCK (second-chance) buffer pool over a SimDisk. Frames hold
+/// whole pages; pinned pages are never evicted; dirty pages are written back
+/// on eviction or FlushAll. The memory-size experiment (Sec. 7.6) varies
+/// `capacity_pages` relative to the data size.
 ///
 /// Pages are partitioned across `num_shards` shards by page id, each with its
-/// own frame table, LRU list and mutex, so pinners on different shards never
-/// contend. Disk I/O is never performed while holding a shard mutex: a miss
-/// marks its frame `loading` (and a dirty victim's old id `writing back`),
-/// drops the lock for the transfer, then publishes the frame — concurrent
-/// misses on different shards (or different pages of one shard) truly
-/// overlap, and a second pinner of an in-flight page waits on the shard's
-/// condition variable instead of re-reading it.
+/// own frames, clock hand and mutex. A read pin of a resident page takes no
+/// mutex: it CAS-increments the frame's pin count and re-checks that the
+/// frame still holds the page, and Unpin is one atomic decrement (see
+/// DESIGN-storage.md "The sharded buffer pool"). Misses, loads, write-backs,
+/// Discard, FlushAll and the clock sweep run under the shard mutex. Disk I/O
+/// is never performed while holding it: a miss marks its frame busy (and a
+/// dirty victim's old id `writing back`), drops the lock for the transfer,
+/// then publishes the frame — concurrent misses on different shards (or
+/// different pages of one shard) truly overlap, and a second pinner of an
+/// in-flight page waits on the shard's condition variable instead of
+/// re-reading it.
 class BufferPool {
  public:
   /// `num_shards`: 0 = auto (16 — shards are cheap and over-sharding only
@@ -85,10 +89,13 @@ class BufferPool {
   const uint8_t* Pin(PageId id, bool* missed = nullptr,
                      PoolClient client = PoolClient::kTrace);
 
-  /// Pins a page for writing (marks it dirty).
+  /// Pins a page for writing (marks it dirty). Always takes the shard lock,
+  /// since `dirty` is shard-lock state; mutable pins exist only while pages
+  /// are built.
   uint8_t* PinMutable(PageId id, PoolClient client = PoolClient::kTrace);
 
-  /// Releases one pin on `id`.
+  /// Releases one pin on `id`: one atomic decrement. It takes the shard lock
+  /// only to wake pinners waiting on an exhausted shard.
   void Unpin(PageId id);
 
   /// Writes all dirty resident pages back. Pages are copied out under the
@@ -106,15 +113,16 @@ class BufferPool {
 
   /// Counter snapshot in one struct, aggregated across shards in one call,
   /// so callers (benches, sources) read a consistent-enough triple instead
-  /// of recomputing deltas accessor by accessor. Under concurrency the
-  /// snapshot is per-shard consistent (each shard is read under its lock).
+  /// of recomputing deltas accessor by accessor. Exact once pinners are
+  /// quiescent; under concurrency, hits counted lock-free may land between
+  /// the reads of two fields.
   struct Stats {
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t evictions = 0;
     /// Seconds pinners spent blocked acquiring contended shard mutexes —
-    /// the bench-facing "lock_wait" signal; ~0 when sharding removes the
-    /// single-mutex bottleneck.
+    /// the bench-facing "lock_wait" signal. Hits on resident pages take no
+    /// mutex, so only misses, loads and maintenance contribute.
     double lock_wait_seconds = 0.0;
     /// Per-client-kind split (indexed by PoolClient): hits/misses by the
     /// pinner's declared kind, and current frame occupancy by the kind that
@@ -148,38 +156,53 @@ class BufferPool {
   void ResetStats();
 
  private:
-  struct Frame {
+  // Frame::state: pin count in the low bits, kBusy in the top bit. Only the
+  // shard-locked path sets kBusy, and only on a frame it owns outright (a
+  // free frame, or a CAS from exactly 0 — unpinned and idle); while it is
+  // set, lock-free pinners back off to the locked path.
+  static constexpr uint32_t kBusy = 1u << 31;
+  static constexpr uint32_t kPinMask = kBusy - 1;
+
+  // The hit path touches only the first cache line of its frame, which
+  // pinners of the same page share anyway.
+  struct alignas(64) Frame {
+    std::atomic<uint32_t> state{kBusy};  // free frames stay busy
+    // Page held; rewritten only while kBusy is set (under the shard lock),
+    // so a pinner that got its pin in sees a stable id.
+    std::atomic<PageId> id{0};
+    std::atomic<bool> referenced{false};  // CLOCK second-chance bit
+    bool dirty = false;   // shard lock
+    uint8_t client = 0;   // PoolClient that loaded the page (occupancy tag)
+    // Hits on this frame by pinner kind; misses are counted per shard.
+    std::atomic<uint64_t> hits[kNumPoolClients]{};
     Page page;
-    PageId id = 0;
-    uint32_t pins = 0;
-    bool dirty = false;
-    bool loading = false;  // disk read in flight; contents not yet valid
-    uint8_t client = 0;    // PoolClient that loaded the page (occupancy tag)
-    std::list<size_t>::iterator lru_pos;  // valid iff in_lru
-    bool in_lru = false;
   };
 
   struct Shard {
-    mutable std::mutex mu;
+    // Read by the lock-free hit path and never rewritten: kept off the
+    // cache lines the locked path writes.
+    std::unique_ptr<Frame[]> frames;  // atomics: not movable, so no vector
+    size_t num_frames = 0;
+    // page -> frame index + 1 (0 = absent), indexed by id / num_shards. The
+    // chunked table never relocates a slot, so lock-free readers may probe
+    // it while the locked path grows it for pages allocated after the pool
+    // was built. Slots are written only under the shard lock.
+    PageSlotTable<std::atomic<uint32_t>> resident;
+    // Lock holders about to wait for a pin to drop (a pinner on an
+    // exhausted shard, a Discard): an Unpin that frees a frame takes the
+    // lock to wake them only when this is non-zero. Read by every Unpin.
+    alignas(64) std::atomic<uint32_t> waiters{0};
+
+    alignas(64) mutable std::mutex mu;
     std::condition_variable cv;
-    std::vector<Frame> frames;
     std::vector<size_t> free_frames;
-    // page -> frame index, -1 if absent: a flat array over the pages this
-    // shard owns, indexed by id / num_shards (sized from the disk at
-    // construction, grown on demand), so the residency check under the
-    // shard lock is one load instead of a hash probe.
-    std::vector<int32_t> resident;
-    std::list<size_t> lru;  // front = oldest unpinned, not loading
+    size_t hand = 0;  // clock hand
     // Old ids of dirty victims whose write-back is in flight: a re-read of
     // such a page must wait for the write to land first.
     std::unordered_set<PageId> writing_back;
-    uint32_t io_in_flight = 0;    // loads + write-backs outside the lock
-    uint32_t pinned_frames = 0;   // frames with pins > 0
-    uint64_t hits = 0;
-    uint64_t misses = 0;
+    uint32_t io_in_flight = 0;  // loads + write-backs outside the lock
     uint64_t evictions = 0;
     double lock_wait_seconds = 0.0;
-    uint64_t client_hits[kNumPoolClients] = {0, 0};
     uint64_t client_misses[kNumPoolClients] = {0, 0};
     // Occupied frames by loading client; updated on load/eviction, so it is
     // current state (not reset with the counters).
@@ -190,7 +213,19 @@ class BufferPool {
   const Shard& ShardOf(PageId id) const { return *shards_[id % shards_.size()]; }
   // Acquires s.mu, charging blocked time to s.lock_wait_seconds.
   static std::unique_lock<std::mutex> LockShard(Shard& s);
-  int32_t& ResidentSlot(Shard& s, PageId id) const;
+  // Frame currently mapped to `id`, or null; lock-free.
+  Frame* LookupFrame(const Shard& s, PageId id) const;
+  // Points `id`'s slot at `frame` (frame index + 1; 0 = absent). Caller
+  // holds the shard lock.
+  void SetSlot(Shard& s, PageId id, uint32_t frame) const;
+  // The lock-free hit path: pins `id` if resident and idle, else null.
+  Frame* TryPinResident(Shard& s, PageId id, PoolClient client);
+  // Advances the clock hand to an unpinned, idle, unreferenced frame and
+  // marks it busy; returns its index, or -1 after two full turns. Caller
+  // holds the shard lock.
+  static int64_t ClockSweep(Shard& s);
+  // Drops one pin; wakes registered waiters when the frame became free.
+  static void ReleasePin(Shard& s, Frame& f);
   Status GetFrame(PageId id, bool mutate, PinOutcome* outcome,
                   PoolClient client, Frame** out);
 

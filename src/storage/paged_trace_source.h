@@ -15,7 +15,7 @@
 namespace dtrace {
 
 /// Disk-resident TraceSource: serializes a TraceStore onto a SimDisk at
-/// construction and serves every subsequent read through a sharded LRU
+/// construction and serves every subsequent read through a sharded CLOCK
 /// BufferPool, so queries run against it perform *real* page traffic
 /// (Sec. 7.6's regime) instead of the bench-side access-hook emulation.
 ///

@@ -92,6 +92,15 @@ class PageSlotTable {
     return chunk->slots[id & (kChunkSlots - 1)];
   }
 
+  /// Slot `id` if its chunk has been made addressable, else null: the
+  /// lookup for readers that cannot prove allocation (the slot of a chunk
+  /// the owner has not grown to yet reads as absent).
+  Slot* Find(size_t id) const {
+    if (id >= kMaxChunks * kChunkSlots) return nullptr;
+    Chunk* chunk = chunks_[id >> kChunkBits].load(std::memory_order_acquire);
+    return chunk == nullptr ? nullptr : &chunk->slots[id & (kChunkSlots - 1)];
+  }
+
  private:
   struct Chunk {
     std::array<Slot, kChunkSlots> slots{};

@@ -36,8 +36,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <numeric>
+#include <mutex>
 #include <optional>
 #include <random>
 #include <sstream>
@@ -411,6 +415,70 @@ TEST(ConcurrentDifferentialTest, CompressedPagedTreesAcrossShardCounts) {
   for (int shards : {1, 2, 4}) {
     RunCell(shards, popts, /*seed=*/0x53ull + static_cast<uint64_t>(shards));
   }
+}
+
+TEST(ConcurrentDifferentialTest, RoutedForestWalkRepinDoesNotDeadlock) {
+  // The serial routed walk re-pins a shard whose version moved inside its
+  // version -> signature -> pin handshake. On in-memory trees a pin holds
+  // the shard's read latch, and the writer-preference latch queues a new
+  // read acquisition behind a waiting writer — so re-pinning while the
+  // previous attempt's pin is still held waits on a writer that waits on
+  // that very pin. Readers run routed serial walks while a writer commits
+  // back to back (every commit both moves the version and queues the next
+  // write); a watchdog fails the test instead of letting it hang.
+  constexpr uint32_t kEntities = 240;
+  constexpr auto kRun = std::chrono::milliseconds(1500);
+  constexpr auto kWatchdog = std::chrono::seconds(60);
+  Dataset dataset = MakeSynDataset(kEntities, /*data_seed=*/101);
+  ShardedIndex index = ShardedIndex::Build(
+      dataset.store, {.num_shards = 4,
+                      .index = IndexOptions{.num_functions = 48, .seed = 17}});
+  PolynomialLevelMeasure measure(dataset.hierarchy->num_levels());
+  const auto queries = SampleQueries(*dataset.store, 8, /*seed=*/0xD1ull);
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool done = false;
+  std::thread watchdog([&] {
+    std::unique_lock<std::mutex> lock(mu);
+    if (!cv.wait_for(lock, kWatchdog, [&] { return done; })) {
+      std::fprintf(stderr, "routed forest walk deadlocked against a writer\n");
+      std::abort();
+    }
+  });
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> reads{0};
+  std::vector<std::thread> readers;
+  for (int rid = 0; rid < kReaderThreads; ++rid) {
+    readers.emplace_back([&, rid] {
+      QueryOptions opts;
+      opts.cross_shard_routing = true;
+      for (size_t i = static_cast<size_t>(rid);
+           !stop.load(std::memory_order_acquire); ++i) {
+        const TopKResult r = index.Query(queries[i % queries.size()], kTopK,
+                                         measure, opts, /*shard_threads=*/1);
+        EXPECT_TRUE(r.status.ok()) << r.status.message();
+        reads.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  uint64_t commits = 0;
+  const auto deadline = std::chrono::steady_clock::now() + kRun;
+  while (std::chrono::steady_clock::now() < deadline) {
+    index.UpdateEntity(static_cast<EntityId>(commits % kEntities));
+    ++commits;
+  }
+  stop.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+  {
+    const std::lock_guard<std::mutex> lock(mu);
+    done = true;
+  }
+  cv.notify_one();
+  watchdog.join();
+  EXPECT_GT(reads.load(), 0u);
+  EXPECT_GT(commits, 0u);
 }
 
 }  // namespace

@@ -64,10 +64,12 @@ std::string DescribeItems(const std::vector<ScoredEntity>& items) {
 }
 
 // Asserts query-for-query bit identity between two indexes: items AND the
-// deterministic search counters (same tree bytes => same traversal).
+// deterministic search counters (same tree bytes => same traversal). Pass
+// compare_counters = false for a path whose counters are not deterministic.
 template <typename QueryFnA, typename QueryFnB>
 void ExpectBitIdentical(const std::vector<EntityId>& queries, QueryFnA&& a,
-                        QueryFnB&& b, const char* what) {
+                        QueryFnB&& b, const char* what,
+                        bool compare_counters = true) {
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     const TopKResult ra = a(queries[qi]);
     const TopKResult rb = b(queries[qi]);
@@ -76,6 +78,7 @@ void ExpectBitIdentical(const std::vector<EntityId>& queries, QueryFnA&& a,
     EXPECT_TRUE(SameItems(ra.items, rb.items))
         << what << " query " << qi << ": original" << DescribeItems(ra.items)
         << " vs loaded" << DescribeItems(rb.items);
+    if (!compare_counters) continue;
     EXPECT_EQ(ra.stats.nodes_visited, rb.stats.nodes_visited)
         << what << " query " << qi;
     EXPECT_EQ(ra.stats.entities_checked, rb.stats.entities_checked)
@@ -197,7 +200,11 @@ void RunShardedCell(int num_shards, bool compress, bool paged) {
   PolynomialLevelMeasure measure(dataset.hierarchy->num_levels());
   const auto queries = SampleQueries(*dataset.store, 4, 0xCAFE);
   // Both fan-out paths: the routed one additionally proves the coarse
-  // router state survived (same shards pruned on both sides).
+  // router state survived (same shards pruned on both sides). The routed
+  // default path is the concurrent threshold fan-out, whose counters
+  // ShardedIndex::Query documents as interleaving-dependent, so it is
+  // compared on items only; the routed counters are compared on the serial
+  // forest walk (shard_threads = 1), where they are deterministic.
   for (const bool routed : {false, true}) {
     QueryOptions opts;
     opts.cross_shard_routing = routed;
@@ -207,7 +214,23 @@ void RunShardedCell(int num_shards, bool compress, bool paged) {
         [&](EntityId q) {
           return loaded.index->Query(q, kTopK, measure, opts);
         },
-        routed ? "sharded routed" : "sharded unrouted");
+        routed ? "sharded routed" : "sharded unrouted",
+        /*compare_counters=*/!routed);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  {
+    QueryOptions opts;
+    opts.cross_shard_routing = true;
+    ExpectBitIdentical(
+        queries,
+        [&](EntityId q) {
+          return index.Query(q, kTopK, measure, opts, /*shard_threads=*/1);
+        },
+        [&](EntityId q) {
+          return loaded.index->Query(q, kTopK, measure, opts,
+                                     /*shard_threads=*/1);
+        },
+        "sharded routed serial");
     if (::testing::Test::HasFatalFailure()) return;
   }
   // QueryMany batches through the same versioned pins.
