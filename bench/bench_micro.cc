@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark): index build, signature computation,
 // query latency per k, brute-force comparison, intersection primitives
 // (span-based and packed), the cold-byte codec (encode/decode/packed
-// galloping vs the decoded baseline), and the buffer pool's pin hit path.
+// galloping vs the decoded baseline), compressed trace-record decode, and
+// the buffer pool's pin hit path.
 #include <benchmark/benchmark.h>
 
 #include <random>
@@ -12,6 +13,7 @@
 #include "exp/presets.h"
 #include "hash/hierarchical_hasher.h"
 #include "storage/buffer_pool.h"
+#include "storage/paged_trace_store.h"
 #include "storage/sim_disk.h"
 #include "trace/trace_source.h"
 #include "util/codec.h"
@@ -153,6 +155,36 @@ void BM_IntersectPackedVsSorted(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IntersectPackedVsSorted)->Arg(64)->Arg(1024);
+
+// One compressed trace record read as the paged cursor reads it: decode and
+// range-check the base-level blob, then derive every coarse level from it.
+// Iterations cycle through 64 SYN records already copied out of the pool.
+void BM_TraceRecordDecode(benchmark::State& state) {
+  const TraceStore& store = *SharedDataset().store;
+  SimDisk disk;
+  const PagedTraceStore paged(store, &disk, /*compress=*/true);
+  BufferPool pool(&disk, paged.num_pages());
+  std::vector<std::vector<uint8_t>> records(64);
+  for (EntityId e = 0; e < records.size(); ++e) {
+    if (!paged.ReadEntityPacked(&pool, e, &records[e]).ok()) {
+      state.SkipWithError("record read failed");
+      return;
+    }
+  }
+  const int m = store.hierarchy().num_levels();
+  std::vector<std::vector<CellId>> levels(m);
+  size_t next = 0;
+  for (auto _ : state) {
+    const auto& record = records[next++ % records.size()];
+    benchmark::DoNotOptimize(paged.DecodeBase(record, &levels[m - 1]).ok());
+    for (Level l = 1; l < m; ++l) {
+      paged.DeriveLevel(levels[m - 1], l, &levels[l - 1]);
+    }
+    benchmark::DoNotOptimize(levels[0].data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TraceRecordDecode);
 
 void BM_IncrementalInsert(benchmark::State& state) {
   const auto& d = SharedDataset();

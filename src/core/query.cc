@@ -316,7 +316,6 @@ void EvalCandidates(const TraceSource& source, uint64_t as_of,
                   scratch.batch);
     for (EntityId e : candidates) {
       if (e == q) continue;
-      if (options.access_hook) options.access_hook(e);
       for (Level l = 1; l <= m; ++l) {
         // Compressed-direct first: a valid view intersects straight off the
         // encoded blocks; otherwise the decoded-span path (the only path
@@ -336,11 +335,6 @@ void EvalCandidates(const TraceSource& source, uint64_t as_of,
     }
     status.Update(cursor.status());
     return;
-  }
-  if (options.access_hook) {
-    for (EntityId e : candidates) {
-      if (e != q) options.access_hook(e);
-    }
   }
   scratch.scores.assign(candidates.size(), 0.0);
   std::vector<double>& scores = scratch.scores;

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -141,11 +140,9 @@ class CrossShardThreshold {
   EntityId best_entity_ = kInvalidEntity;
 };
 
-/// Hooks for instrumenting a query (e.g. routing candidate-trace reads
-/// through the paged storage substrate in the memory-size experiment).
+/// Per-query options: time window, approximation, the trace source and
+/// version to evaluate against, evaluation parallelism and shard routing.
 struct QueryOptions {
-  /// Invoked once per candidate entity right before its exact evaluation.
-  std::function<void(EntityId)> access_hook;
   /// When set, association degrees are computed over ST-cells inside the
   /// window only, for both the query and every candidate. Pruning stays
   /// exact: a node's pruned cells are absent from the candidates'

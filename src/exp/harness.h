@@ -65,8 +65,7 @@ std::vector<EntityId> SampleQueries(const TraceStore& store, size_t count,
 
 /// Runs top-k queries through the index and aggregates PE/time/I-O.
 /// `options` selects the evaluation path — in particular a storage-backed
-/// `options.trace_source` (the real Sec. 7.6 regime, replacing the old
-/// access-hook emulation) — and `num_threads` batches the queries through
+/// `options.trace_source` (the real Sec. 7.6 regime) — and `num_threads` batches the queries through
 /// QueryMany (1 = serial, 0 = auto).
 PeMeasurement MeasurePe(const DigitalTraceIndex& index,
                         const AssociationMeasure& measure,

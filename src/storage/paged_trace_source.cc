@@ -17,16 +17,16 @@ namespace {
 
 // One entity record held by a cursor's materialization cache. Uncompressed
 // sources materialize `levels` eagerly; compressed sources keep the raw
-// encoded record in `packed` (per-level blob starts in `level_off`) and
-// decode a level into `levels` only the first time a caller needs it as a
-// span — `decoded` tracks which levels are valid. All buffers are reused
-// across the entities cycled through the slot.
+// encoded record (one base-level blob) in `packed`, decode and validate the
+// base level into levels[m-1] once per fetch, and derive a coarse level
+// into `levels` only the first time a caller needs it — `decoded` tracks
+// which levels are valid. All buffers are reused across the entities
+// cycled through the slot.
 struct CachedEntity {
   EntityId entity = kInvalidEntity;
   uint64_t last_used = 0;
   std::vector<std::vector<CellId>> levels;  // [m], sorted cell ids
   std::vector<uint8_t> packed;              // compressed record bytes
-  std::vector<uint32_t> level_off;          // [m] blob byte starts in packed
   uint64_t decoded = 0;                     // bit l-1: levels[l-1] is valid
 };
 
@@ -85,9 +85,12 @@ class PagedTraceCursor final : public TraceCursor {
 
   PackedIdListView PackedCellsInWindow(EntityId e, Level level, TimeStep t0,
                                        TimeStep t1) override {
-    // Only the unwindowed case maps onto whole encoded blobs; a restricted
-    // window needs the decoded span (and the fallback path handles it).
-    if (!src_->paged_->compressed() || t0 != 0 || t1 < src_->horizon()) {
+    // Only the stored base level over the unwindowed range maps onto an
+    // encoded blob; coarse levels and restricted windows need the decoded
+    // span (and the fallback path handles them).
+    if (!src_->paged_->compressed() ||
+        level != src_->hierarchy().num_levels() || t0 != 0 ||
+        t1 < src_->horizon()) {
       return {};
     }
     CachedEntity& slot = Fetch(e);
@@ -95,9 +98,7 @@ class PagedTraceCursor final : public TraceCursor {
     // "no packed form" so the caller falls through to the decoded path,
     // which returns empty data under the latched error.
     if (slot.entity != e) return {};
-    const size_t off = slot.level_off[level - 1];
-    return PackedIdListView(slot.packed.data() + off,
-                            slot.packed.size() - off);
+    return PackedIdListView(slot.packed.data(), slot.packed.size());
   }
 
   std::span<const CellId> CellsInWindow(EntityId e, Level level, TimeStep t0,
@@ -221,9 +222,7 @@ class PagedTraceCursor final : public TraceCursor {
       if (src_->paged_->compressed()) {
         st = src_->paged_->ReadEntityPacked(&*src_->pool_, e, &victim->packed,
                                             &rs);
-        if (st.ok() && !ParseLevelOffsets(victim)) {
-          st = Status::Corruption("trace record blobs failed to parse");
-        }
+        if (st.ok()) st = UnpackBase(victim);
       } else {
         st = src_->paged_->ReadEntity(&*src_->pool_, e, &victim->levels, &rs);
       }
@@ -255,50 +254,29 @@ class PagedTraceCursor final : public TraceCursor {
     const size_t m = static_cast<size_t>(src_->hierarchy().num_levels());
     slot->levels.assign(m, {});
     slot->packed.clear();
-    slot->level_off.assign(m, 0);
-    // All levels "already decoded" (as empty): DecodedLevel must not walk
-    // the cleared packed buffer.
+    // All levels "already decoded" (as empty): DecodedLevel must not derive
+    // from the cleared base.
     slot->decoded = ~uint64_t{0};
   }
 
-  // Compressed mode: walks the packed record's self-delimiting blobs to
-  // index each level's start, and invalidates the slot's decoded levels.
-  // Returns false when the record's blobs do not tile its byte length —
-  // corruption that slipped past the page checksums (possible only with
-  // verification off).
-  bool ParseLevelOffsets(CachedEntity* slot) {
+  // Compressed mode: decodes and validates the record's base level — the
+  // one decode per fetch — and invalidates the derived coarse levels.
+  Status UnpackBase(CachedEntity* slot) {
     const int m = src_->hierarchy().num_levels();
     DT_CHECK_MSG(m <= 64, "decoded-level bitmask holds at most 64 levels");
-    slot->level_off.resize(m);
     slot->levels.resize(m);
-    slot->decoded = 0;
-    size_t off = 0;
-    for (int l = 0; l < m; ++l) {
-      slot->level_off[l] = static_cast<uint32_t>(off);
-      // The view knows each layout's blob length (small blobs embed none);
-      // its bounds checks double as the walk's corruption guard.
-      const PackedIdListView view(slot->packed.data() + off,
-                                  slot->packed.size() - off);
-      if (!view.valid()) return false;
-      off += view.total_bytes();
-    }
-    return off == slot->packed.size();
+    slot->decoded = uint64_t{1} << (m - 1);
+    return src_->paged_->DecodeBase(slot->packed, &slot->levels[m - 1]);
   }
 
-  // Returns the decoded cell span of `level`, decoding it out of the packed
-  // record on first touch (compressed mode; a no-op pass-through otherwise).
+  // Returns the cell span of `level`, deriving a coarse level from the base
+  // on first touch (compressed mode; a no-op pass-through otherwise).
   const std::vector<CellId>& DecodedLevel(CachedEntity& slot, Level level) {
     auto& v = slot.levels[level - 1];
-    if (src_->paged_->compressed() &&
-        (slot.decoded & (uint64_t{1} << (level - 1))) == 0) {
-      const size_t off = slot.level_off[level - 1];
-      if (DecodeIdList(slot.packed.data() + off, slot.packed.size() - off,
-                       &v) == 0) {
-        status_.Update(
-            Status::Corruption("malformed id-list blob in trace record"));
-        v.clear();
-      }
-      slot.decoded |= uint64_t{1} << (level - 1);
+    const uint64_t bit = uint64_t{1} << (level - 1);
+    if (src_->paged_->compressed() && (slot.decoded & bit) == 0) {
+      src_->paged_->DeriveLevel(slot.levels.back(), level, &v);
+      slot.decoded |= bit;
     }
     return v;
   }
@@ -335,9 +313,7 @@ class PagedTraceCursor final : public TraceCursor {
     if (st->ok()) {
       if (src_->paged_->compressed()) {
         victim->packed.swap(slot.packed);
-        if (!ParseLevelOffsets(victim)) {
-          *st = Status::Corruption("trace record blobs failed to parse");
-        }
+        *st = UnpackBase(victim);
       } else {
         victim->levels.swap(slot.levels);
       }

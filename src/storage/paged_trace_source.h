@@ -17,7 +17,7 @@ namespace dtrace {
 /// Disk-resident TraceSource: serializes a TraceStore onto a SimDisk at
 /// construction and serves every subsequent read through a sharded CLOCK
 /// BufferPool, so queries run against it perform *real* page traffic
-/// (Sec. 7.6's regime) instead of the bench-side access-hook emulation.
+/// (Sec. 7.6's regime).
 ///
 /// There is no source-wide lock: the pool synchronizes per shard (disk I/O
 /// happens outside shard mutexes), so cursors from concurrent QueryMany /
@@ -55,12 +55,15 @@ class PagedTraceSource final : public TraceSource {
     /// Buffer-pool shards (0 = auto = 16; always capped at
     /// pool capacity / 4 so every shard keeps at least 4 frames).
     size_t pool_shards = 0;
-    /// Serialize compressed (util/codec.h): each level becomes one
-    /// delta-packed id-list blob, and cursors keep the packed record
-    /// resident — decoding levels lazily into reused buffers, or handing
-    /// the encoded blocks straight to the intersection kernel via
-    /// PackedCellsInWindow. Results and every search counter stay
-    /// bit-identical to uncompressed; only page counts shrink. Default off.
+    /// Serialize compressed (util/codec.h): each entity's record becomes
+    /// one delta-packed id-list blob of its BASE level only; the coarse
+    /// levels are derived from it on read (DESIGN-storage.md "Compressed
+    /// formats"). Cursors keep the packed record resident, decode and
+    /// validate the base level once per fetch, derive coarse levels lazily
+    /// into reused buffers, and hand the base level's encoded blocks
+    /// straight to the intersection kernel via PackedCellsInWindow. Results
+    /// and every search counter stay bit-identical to uncompressed; only
+    /// page counts shrink. Default off.
     bool compress = false;
     /// Per-cursor materialization cache capacity in entities. Pairwise
     /// reads (the intersection helpers) need both sides resident at once,

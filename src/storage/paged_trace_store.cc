@@ -10,9 +10,21 @@ namespace dtrace {
 
 PagedTraceStore::PagedTraceStore(const TraceStore& store, SimDisk* disk,
                                  bool compress)
-    : m_(store.hierarchy().num_levels()), compressed_(compress) {
+    : m_(store.hierarchy().num_levels()),
+      compressed_(compress),
+      horizon_(store.horizon()) {
   DT_CHECK(disk != nullptr);
   dir_.resize(store.num_entities());
+  const SpatialHierarchy& h = store.hierarchy();
+  for (Level l = 1; l <= m_; ++l) units_.push_back(h.units_at(l));
+  if (compress) {
+    ancestors_.resize(m_ - 1);
+    for (Level l = 1; l < m_; ++l) {
+      auto& anc = ancestors_[l - 1];
+      anc.resize(h.num_base_units());
+      for (UnitId u = 0; u < anc.size(); ++u) anc[u] = h.AncestorOfBase(u, l);
+    }
+  }
 
   // Serialize into a flat byte stream, flushing page by page.
   Page page;
@@ -67,6 +79,7 @@ PagedTraceStore::PagedTraceStore(const TraceStore& store, SimDisk* disk,
   };
 
   std::vector<uint8_t> enc;
+  std::vector<CellId> derived;
   for (EntityId e = 0; e < store.num_entities(); ++e) {
     // Align the next entity to a fresh offset; record the directory entry.
     const uint64_t start =
@@ -74,7 +87,13 @@ PagedTraceStore::PagedTraceStore(const TraceStore& store, SimDisk* disk,
     for (Level l = 1; l <= m_; ++l) {
       const auto cells = store.cells(e, l);
       raw_u32s(1 + cells.size());
-      if (compress) {
+      if (compress && l < m_) {
+        // Not stored: readers derive it from the base level.
+        DeriveLevel(store.cells(e, m_), l, &derived);
+        DT_CHECK_MSG(std::equal(cells.begin(), cells.end(), derived.begin(),
+                                derived.end()),
+                     "coarse trace level differs from the derived one");
+      } else if (compress) {
         enc.clear();
         EncodeIdList(cells, &enc);
         put_bytes(enc.data(), enc.size());
@@ -125,21 +144,13 @@ Status PagedTraceStore::ReadEntity(BufferPool* pool, EntityId e,
   out->resize(m_);
   if (compressed_) {
     // Convenience/tooling path (the paged cursor keeps the packed form and
-    // decodes lazily instead): copy the record out, decode level by level.
+    // derives coarse levels lazily instead).
     std::vector<uint8_t> packed;
-    const Status st = ReadEntityPacked(pool, e, &packed, stats);
+    Status st = ReadEntityPacked(pool, e, &packed, stats);
+    if (st.ok()) st = DecodeBase(packed, &(*out)[m_ - 1]);
     if (!st.ok()) return st;
-    size_t off = 0;
-    for (int l = 0; l < m_; ++l) {
-      const size_t used =
-          DecodeIdList(packed.data() + off, packed.size() - off, &(*out)[l]);
-      if (used == 0) {
-        return Status::Corruption("malformed id-list blob in trace record");
-      }
-      off += used;
-    }
-    if (off != packed.size()) {
-      return Status::Corruption("trace record length disagrees with blobs");
+    for (Level l = 1; l < m_; ++l) {
+      DeriveLevel((*out)[m_ - 1], l, &(*out)[l - 1]);
     }
     return Status::Ok();
   }
@@ -176,6 +187,10 @@ Status PagedTraceStore::ReadEntity(BufferPool* pool, EntityId e,
   };
   auto get_u32 = [&]() -> uint32_t {
     skip_padding();
+    if (off + sizeof(uint32_t) > d.offset + d.bytes) {
+      walk = Status::Corruption("trace level counts overrun their record");
+      return 0;
+    }
     const size_t in_page = pin_page_of(off);
     if (!walk.ok()) return 0;
     uint32_t v;
@@ -187,6 +202,11 @@ Status PagedTraceStore::ReadEntity(BufferPool* pool, EntityId e,
   for (int l = 0; l < m_ && walk.ok(); ++l) {
     const uint32_t n = get_u32();
     if (!walk.ok()) break;
+    // A count the record cannot hold would walk past it.
+    if (n > (d.offset + d.bytes - off) / sizeof(uint32_t)) {
+      walk = Status::Corruption("trace level count exceeds its record");
+      break;
+    }
     auto& level = (*out)[l];
     level.resize(n);
     uint32_t got = 0;
@@ -205,6 +225,9 @@ Status PagedTraceStore::ReadEntity(BufferPool* pool, EntityId e,
     }
   }
   if (cur_page != kNoPage) pool->Unpin(pages_[cur_page]);
+  for (Level l = 1; l <= m_ && walk.ok(); ++l) {
+    walk = CheckCells(l, (*out)[l - 1]);
+  }
   return walk;
 }
 
@@ -215,20 +238,56 @@ std::vector<std::vector<CellId>> PagedTraceStore::ReadEntity(
   return out;
 }
 
-Status PagedTraceStore::TouchEntity(BufferPool* pool, EntityId e,
-                                    ReadStats* stats) const {
-  DT_CHECK(e < dir_.size());
-  const DirEntry& d = dir_[e];
-  const size_t first = d.offset / kPageSize;
-  const size_t last =
-      d.bytes == 0 ? first : (d.offset + d.bytes - 1) / kPageSize;
-  for (size_t p = first; p <= last; ++p) {
-    BufferPool::PinOutcome outcome;
-    const uint8_t* data = nullptr;
-    const Status st = pool->Pin(pages_[p], &data, &outcome);
-    if (stats != nullptr) stats->Charge(outcome);
-    if (!st.ok()) return st;
-    pool->Unpin(pages_[p]);
+Status PagedTraceStore::DecodeBase(std::span<const uint8_t> record,
+                                   std::vector<CellId>* base) const {
+  DT_CHECK_MSG(compressed_, "DecodeBase needs a compressed store");
+  const size_t used = DecodeIdList(record.data(), record.size(), base);
+  if (used == 0 || used != record.size()) {
+    base->clear();
+    return Status::Corruption("trace record is not one well-formed blob");
+  }
+  const Status st = CheckCells(m_, *base);
+  if (!st.ok()) base->clear();
+  return st;
+}
+
+void PagedTraceStore::DeriveLevel(std::span<const CellId> base, Level level,
+                                  std::vector<CellId>* out) const {
+  DT_DCHECK(compressed_ && level >= 1 && level < m_);
+  const uint32_t base_units = units_[m_ - 1];
+  const uint32_t units = units_[level - 1];
+  const UnitId* anc = ancestors_[level - 1].data();
+  out->clear();
+  bool sorted = true;
+  for (CellId c : base) {
+    const TimeStep t = c / base_units;
+    const CellId d = t * units + anc[c - t * base_units];
+    if (!out->empty() && d <= out->back()) {
+      if (d == out->back()) continue;  // siblings sharing a time step
+      sorted = false;
+    }
+    out->push_back(d);
+  }
+  if (!sorted) {
+    // Only a non-monotone ancestor numbering with several units in one time
+    // step gets here. Steps stay in order (the base is t-major), so a full
+    // sort reorders within steps only, and unique drops the duplicates the
+    // adjacent check could not see.
+    std::sort(out->begin(), out->end());
+    out->erase(std::unique(out->begin(), out->end()), out->end());
+  }
+}
+
+Status PagedTraceStore::CheckCells(Level level,
+                                   std::span<const CellId> cells) const {
+  for (size_t i = 1; i < cells.size(); ++i) {
+    if (cells[i] <= cells[i - 1]) {
+      return Status::Corruption("trace cells out of order");
+    }
+  }
+  if (!cells.empty() &&
+      cells.back() >= static_cast<uint64_t>(horizon_) * units_[level - 1]) {
+    return Status::Corruption("trace cell outside the cell space");
   }
   return Status::Ok();
 }

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -24,6 +25,7 @@
 #include "storage/fault_injection.h"
 #include "storage/paged_trace_source.h"
 #include "storage/sim_disk.h"
+#include "util/codec.h"
 #include "util/status.h"
 
 namespace dtrace {
@@ -448,13 +450,30 @@ TEST(FaultQuarantineTest, CorruptTreePagesQuarantineRepackAndRecover) {
 
 constexpr uint64_t kSeedsPerCell = 7;
 
+// Source options for a trace leg: a pool of 40% of the pages the source
+// stores. pool_fraction resolves against the raw (uncompressed) footprint,
+// and a compressed store — base levels only — fits a pool of 40% of raw
+// whole: after warm-up no read would reach the disk, and no fault could
+// fire. So the compressed legs size their pools from a fault-free probe's
+// stored page count.
+PagedTraceSource::Options TraceLegOptions(const FaultWorld& w, bool compress) {
+  PagedTraceSource::Options o;
+  o.compress = compress;
+  if (compress) {
+    const PagedTraceSource probe(*w.dataset.store, o);
+    o.pool_pages = std::max<size_t>(
+        1, static_cast<size_t>(0.4 * static_cast<double>(probe.num_pages())));
+  } else {
+    o.pool_fraction = 0.4;
+  }
+  return o;
+}
+
 // Trace-side faults, one source shared by every shard of the fan-out.
 Tally RunTraceShared(FaultWorld& w, bool compress, uint64_t base_seed) {
   Tally tally;
+  PagedTraceSource::Options o = TraceLegOptions(w, compress);
   for (uint64_t s = 0; s < kSeedsPerCell; ++s) {
-    PagedTraceSource::Options o;
-    o.pool_fraction = 0.4;
-    o.compress = compress;
     o.faults = MixedPlan(base_seed + s);
     PagedTraceSource src(*w.dataset.store, o);
     QueryOptions qopts;
@@ -475,10 +494,8 @@ Tally RunTraceShared(FaultWorld& w, bool compress, uint64_t base_seed) {
 // shard.
 Tally RunTracePerShard(FaultWorld& w, bool compress, uint64_t base_seed) {
   Tally tally;
+  PagedTraceSource::Options o = TraceLegOptions(w, compress);
   for (uint64_t s = 0; s < kSeedsPerCell; ++s) {
-    PagedTraceSource::Options o;
-    o.pool_fraction = 0.4;
-    o.compress = compress;
     std::vector<std::unique_ptr<PagedTraceSource>> sources;
     for (int sh = 0; sh < w.sharded->num_shards(); ++sh) {
       o.faults = MixedPlan(base_seed + s * 16 + sh);
@@ -584,6 +601,122 @@ TEST(FaultDifferentialTest, TreePerShardDisks) {
   EXPECT_GT(unc.ok, 0);
   EXPECT_GT(com.ok, 0);
 }
+
+// ---------------------------------------------------------------------------
+// Record integrity: trace cells the checksums let through (here: verification
+// off, and a rewrite that stamps a fresh checksum anyway) are range-checked
+// at fetch time, so they latch a clean Corruption instead of indexing past
+// the query kernel's per-level cell bitmap.
+// ---------------------------------------------------------------------------
+
+class TraceRecordIntegrityTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(TraceRecordIntegrityTest, OutOfRangeCellsLatchCorruption) {
+  const bool compress = GetParam();
+  FaultWorld& w = World();
+  const TraceStore& store = *w.dataset.store;
+  const int m = store.hierarchy().num_levels();
+  PagedTraceSource::Options o;
+  o.compress = compress;
+  o.verify_checksums = false;
+  PagedTraceSource src(store, o);
+
+  // Entity 0's record starts the first page the source allocated.
+  constexpr EntityId kVictim = 0;
+  const PageId first_page = 0;
+  Page page;
+  ASSERT_TRUE(src.disk()->Read(first_page, &page).ok());
+  const auto base = store.cells(kVictim, m);
+  ASSERT_FALSE(base.empty());
+  if (compress) {
+    // The record is one level-m blob; rewrite it as a blob of the same
+    // length whose cells all lie past the level's cell space.
+    std::vector<uint8_t> good, bad;
+    EncodeIdList(base, &good);
+    ASSERT_EQ(std::memcmp(page.data.data(), good.data(), good.size()), 0);
+    const uint32_t limit = store.horizon() * store.hierarchy().units_at(m);
+    ASSERT_LT(uint64_t{limit} + base.back(), uint64_t{1} << 32);
+    std::vector<CellId> shifted(base.begin(), base.end());
+    for (CellId& c : shifted) c += limit;
+    EncodeIdList(shifted, &bad);
+    ASSERT_EQ(bad.size(), good.size());
+    std::memcpy(page.data.data(), bad.data(), bad.size());
+  } else {
+    // Uncompressed: {u32 count, cells} per level; the first level-1 cell
+    // becomes one far outside level 1's cell space.
+    const auto level1 = store.cells(kVictim, 1);
+    uint32_t count;
+    std::memcpy(&count, page.data.data(), sizeof(count));
+    ASSERT_EQ(count, level1.size());
+    const uint32_t far = 0xFFFFFFF0u;
+    std::memcpy(page.data.data() + sizeof(count), &far, sizeof(far));
+  }
+  ASSERT_TRUE(src.disk()->Write(first_page, page).ok());
+
+  // Direct read: empty data and a latched Corruption, never the bad cells.
+  const auto cursor = src.OpenCursor();
+  EXPECT_TRUE(cursor->Cells(kVictim, m).empty());
+  EXPECT_EQ(cursor->status().code(), StatusCode::kCorruption);
+
+  // Through the query path, as the query entity and as a candidate.
+  QueryOptions qopts;
+  qopts.trace_source = &src;
+  const TopKResult as_query = w.oracle->Query(kVictim, kTopK, w.measure(),
+                                              qopts);
+  EXPECT_EQ(as_query.status.code(), StatusCode::kCorruption);
+  EXPECT_TRUE(as_query.items.empty());
+  const TopKResult as_candidate =
+      w.oracle->BruteForce(w.queries[0], kTopK, w.measure(), qopts);
+  EXPECT_EQ(as_candidate.status.code(), StatusCode::kCorruption);
+  EXPECT_TRUE(as_candidate.items.empty());
+
+  // Every other record still reads cleanly.
+  const auto other = src.OpenCursor();
+  for (EntityId e = 1; e < store.num_entities(); ++e) {
+    for (Level l = 1; l <= m; ++l) other->Cells(e, l);
+  }
+  EXPECT_TRUE(other->status().ok());
+}
+
+// An uncompressed level count larger than its record must not walk past
+// the record: for the last record, past the last data page.
+TEST(TraceRecordCountTest, LevelCountOverrunLatchesCorruption) {
+  FaultWorld& w = World();
+  const TraceStore& store = *w.dataset.store;
+  const int m = store.hierarchy().num_levels();
+  PagedTraceSource::Options o;
+  o.verify_checksums = false;
+  PagedTraceSource src(store, o);
+
+  // Uncompressed values never straddle pages, so the last record is its
+  // {count, cells} words back to back, ending the data area.
+  const EntityId last = store.num_entities() - 1;
+  uint64_t record_bytes = 0;
+  for (Level l = 1; l <= m; ++l) {
+    record_bytes += sizeof(uint32_t) * (1 + store.cells(last, l).size());
+  }
+  const uint64_t start = src.data_bytes() - record_bytes;
+  const PageId page_id = static_cast<PageId>(start / kPageSize);
+  const size_t in_page = start % kPageSize;
+  Page page;
+  ASSERT_TRUE(src.disk()->Read(page_id, &page).ok());
+  uint32_t count;
+  std::memcpy(&count, page.data.data() + in_page, sizeof(count));
+  ASSERT_EQ(count, store.cells(last, 1).size());
+  const uint32_t overrun = 1u << 16;
+  std::memcpy(page.data.data() + in_page, &overrun, sizeof(overrun));
+  ASSERT_TRUE(src.disk()->Write(page_id, page).ok());
+
+  const auto cursor = src.OpenCursor();
+  EXPECT_TRUE(cursor->Cells(last, 1).empty());
+  EXPECT_EQ(cursor->status().code(), StatusCode::kCorruption);
+}
+
+INSTANTIATE_TEST_SUITE_P(Formats, TraceRecordIntegrityTest,
+                         ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Compressed" : "Uncompressed";
+                         });
 
 // ---------------------------------------------------------------------------
 // Concurrency legs: the fault/retry paths under the prefetch pipeline,

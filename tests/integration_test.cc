@@ -7,7 +7,7 @@
 #include "core/index.h"
 #include "exp/harness.h"
 #include "exp/presets.h"
-#include "storage/paged_trace_store.h"
+#include "storage/paged_trace_source.h"
 
 namespace dtrace {
 namespace {
@@ -94,16 +94,26 @@ TEST_F(IntegrationTest, PagedStoreBacksQueriesWithIoAccounting) {
   const auto index =
       DigitalTraceIndex::Build(syn_->store, {.num_functions = 64});
   PolynomialLevelMeasure measure(syn_->hierarchy->num_levels());
-  SimDisk disk;
-  PagedTraceStore paged(*syn_->store, &disk);
-  BufferPool pool(&disk, std::max<size_t>(1, paged.num_pages() / 10));
-  disk.ResetStats();
+  PagedTraceSource::Options options;
+  options.pool_fraction = 0.1;
+  PagedTraceSource paged(*syn_->store, options);
   QueryOptions qopts;
-  qopts.access_hook = [&](EntityId e) { paged.TouchEntity(&pool, e); };
+  qopts.trace_source = &paged;
   const auto queries = SampleQueries(*syn_->store, 5, 19);
-  for (EntityId q : queries) index.Query(q, 10, measure, qopts);
-  EXPECT_GT(disk.reads(), 0u);
-  EXPECT_GT(disk.modeled_io_seconds(), 0.0);
+  for (EntityId q : queries) {
+    const TopKResult mem = index.Query(q, 10, measure);
+    const TopKResult disk = index.Query(q, 10, measure, qopts);
+    ASSERT_TRUE(disk.status.ok());
+    ASSERT_EQ(mem.items.size(), disk.items.size());
+    for (size_t i = 0; i < mem.items.size(); ++i) {
+      EXPECT_EQ(mem.items[i].entity, disk.items[i].entity);
+      EXPECT_EQ(mem.items[i].score, disk.items[i].score);
+    }
+    EXPECT_EQ(disk.stats.io.entities_fetched, disk.stats.entities_checked + 1)
+        << "every checked candidate and the query record come from storage";
+  }
+  EXPECT_GT(paged.disk_reads(), 0u);
+  EXPECT_GT(paged.pool_stats().misses, 0u);
 }
 
 TEST_F(IntegrationTest, AnalyticalModelProducesComparablePe) {

@@ -66,12 +66,12 @@ TEST_F(PagedStoreTest, SmallPoolCausesMisses) {
     }
   }
   BufferPool tiny(&disk, 1);
-  for (EntityId e : order) paged.TouchEntity(&tiny, e);
+  for (EntityId e : order) paged.ReadEntity(&tiny, e);
   const uint64_t tiny_reads = disk.reads();
 
   disk.ResetStats();
   BufferPool big(&disk, paged.num_pages());
-  for (EntityId e : order) paged.TouchEntity(&big, e);
+  for (EntityId e : order) paged.ReadEntity(&big, e);
   const uint64_t big_reads = disk.reads();
   // The big pool reads each page at most once across all rounds.
   EXPECT_LE(big_reads, paged.num_pages());
@@ -120,36 +120,31 @@ TEST_F(PagedStoreTest, CompressedShrinksPagesAndTracksRawBytes) {
   EXPECT_LE(packed.num_pages(), raw.num_pages());
 }
 
-TEST_F(PagedStoreTest, PackedReadDecodesToTheSameCells) {
+TEST_F(PagedStoreTest, PackedRecordIsOneBaseLevelBlob) {
   SimDisk disk;
   PagedTraceStore paged(*store_, &disk, /*compress=*/true);
   BufferPool pool(&disk, paged.num_pages() + 1);
   std::vector<uint8_t> packed;
-  std::vector<CellId> level;
+  std::vector<CellId> base;
   for (EntityId e = 0; e < 50; ++e) {
-    paged.ReadEntityPacked(&pool, e, &packed);
+    ASSERT_TRUE(paged.ReadEntityPacked(&pool, e, &packed).ok());
     EXPECT_EQ(packed.size(), paged.entity_bytes(e));
-    size_t off = 0;
+    // The whole record is exactly one blob, and that blob is seq^m_e.
+    ASSERT_EQ(DecodeIdList(packed.data(), packed.size(), &base),
+              packed.size())
+        << "entity " << e;
+    const auto expected = store_->cells(e, 3);
+    EXPECT_EQ(base, std::vector<CellId>(expected.begin(), expected.end()))
+        << "entity " << e;
+    // ReadEntity still returns all m levels: the coarse ones derived.
+    const auto levels = paged.ReadEntity(&pool, e);
+    ASSERT_EQ(levels.size(), 3u);
     for (Level l = 1; l <= 3; ++l) {
-      off += DecodeIdList(packed.data() + off, packed.size() - off, &level);
-      const auto expected = store_->cells(e, l);
-      ASSERT_EQ(level.size(), expected.size()) << "entity " << e;
-      for (size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_EQ(level[i], expected[i]);
-      }
+      const auto cells = store_->cells(e, l);
+      EXPECT_EQ(levels[l - 1], std::vector<CellId>(cells.begin(), cells.end()))
+          << "entity " << e << " level " << l;
     }
-    EXPECT_EQ(off, packed.size());
   }
-}
-
-TEST_F(PagedStoreTest, TouchVisitsAllEntityPages) {
-  SimDisk disk;
-  PagedTraceStore paged(*store_, &disk);
-  BufferPool pool(&disk, 2);
-  disk.ResetStats();
-  paged.TouchEntity(&pool, 7);
-  const auto cells = paged.ReadEntity(&pool, 7);
-  SUCCEED();  // no aborts: directory and page ranges agree
 }
 
 }  // namespace
