@@ -16,6 +16,7 @@
 #include "storage/paged_trace_store.h"
 #include "storage/sim_disk.h"
 #include "trace/trace_source.h"
+#include "util/check.h"
 #include "util/codec.h"
 
 namespace dtrace {
@@ -144,18 +145,6 @@ void BM_IntersectSpans(benchmark::State& state) {
 }
 BENCHMARK(BM_IntersectSpans)->Arg(64)->Arg(1024);
 
-void BM_IntersectPackedVsSorted(benchmark::State& state) {
-  const auto a = BenchIds(4096, 30, 7);
-  const auto b = BenchIds(static_cast<size_t>(state.range(0)), 500, 11);
-  std::vector<uint8_t> enc;
-  EncodeIdList(a, &enc);
-  const PackedIdListView view(enc.data(), enc.size());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(IntersectPackedSorted(view, b));
-  }
-}
-BENCHMARK(BM_IntersectPackedVsSorted)->Arg(64)->Arg(1024);
-
 // One compressed trace record read as the paged cursor reads it: decode and
 // range-check the base-level blob, then derive every coarse level from it.
 // Iterations cycle through 64 SYN records already copied out of the pool.
@@ -217,14 +206,19 @@ void BM_PoolPinHit(benchmark::State& state) {
   static BufferPool* pool = [] {
     auto* p = new BufferPool(disk, 4 * kHotPages, /*num_shards=*/0);
     for (PageId id = 0; id < kHotPages; ++id) {
-      p->Pin(id);
+      const uint8_t* data = nullptr;
+      DT_CHECK(p->Pin(id, &data).ok());
       p->Unpin(id);
     }
     return p;
   }();
   PageId id = static_cast<PageId>(state.thread_index()) * 7;
   for (auto _ : state) {
-    const uint8_t* data = pool->Pin(id % kHotPages);
+    const uint8_t* data = nullptr;
+    if (!pool->Pin(id % kHotPages, &data).ok()) {
+      state.SkipWithError("pin of a resident page failed");
+      break;
+    }
     benchmark::DoNotOptimize(data[0]);
     pool->Unpin(id % kHotPages);
     ++id;

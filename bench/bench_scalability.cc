@@ -15,9 +15,9 @@
 //       entity partition, per-(query, shard) fan-out and a deterministic
 //       top-k merge — bit-identical answers (tests/sharded_differential_
 //       test.cc), measured here for throughput. --route turns on the
-//       cross-shard pruning layer (coarse router + threshold propagation,
-//       DESIGN-sharding.md) — still bit-identical, but late shards stop
-//       re-checking candidates the global k-th score already beats.
+//       cross-shard pruning layer (coarse router + one forest walk per
+//       query, DESIGN-sharding.md) — still bit-identical, but late shards
+//       stop re-checking candidates the global k-th score already beats.
 //       --compress stores the trace pages delta-packed (util/codec.h):
 //       fewer pages for the same pool fraction, bit-identical answers,
 //       and compressed_bytes/raw_bytes counters in the JSON emission.
@@ -205,7 +205,7 @@ void RunDisk(uint32_t entities, int workers, int prefetch, int shards,
       "index_s=%.2f\n"
       "queries=%zu PE=%.4f checked/query=%.1f pages/query=%.1f "
       "hit_rate=%.3f lock_wait=%.4fs prefetch_hits/query=%.1f "
-      "shards_pruned/query=%.1f threshold_updates/query=%.1f "
+      "shards_pruned/query=%.1f "
       "qps=%.1f (wall, excl. modeled I/O %.2fs/query)\n",
       d.num_entities(), src.num_pages(), opts.pool_fraction,
       src.pool_shards(), shards, workers, prefetch, route ? 1 : 0,
@@ -219,7 +219,7 @@ void RunDisk(uint32_t entities, int workers, int prefetch, int shards,
       index_seconds, queries.size(), pe.mean_pe,
       pe.mean_entities_checked, pe.mean_pages_read, pool.hit_rate(),
       pool.lock_wait_seconds, pe.mean_prefetch_hits, pe.mean_shards_pruned,
-      pe.mean_threshold_updates, queries.size() / wall, pe.mean_io_seconds);
+      queries.size() / wall, pe.mean_io_seconds);
   json.AddRow()
       .Str("mode", "disk")
       .Int("entities", d.num_entities())
@@ -247,8 +247,6 @@ void RunDisk(uint32_t entities, int workers, int prefetch, int shards,
   json.Counter("pages_read", pe.mean_pages_read * queries.size());
   json.Counter("pool_evictions", static_cast<double>(pool.evictions));
   json.Counter("shards_pruned", pe.mean_shards_pruned * queries.size());
-  json.Counter("threshold_updates",
-               pe.mean_threshold_updates * queries.size());
   json.Counter("router_bound_evals",
                pe.mean_router_bound_evals * queries.size());
   // Storage-footprint counters: compressed_bytes is what the pages hold,

@@ -63,7 +63,6 @@ INFORMATIONAL_COUNTERS = (
     "tree_page_hits",
     "pool_evictions",
     "shards_pruned",
-    "threshold_updates",
     "router_bound_evals",
     "compressed_bytes",
     "raw_bytes",

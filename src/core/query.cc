@@ -34,9 +34,6 @@ class TopKHeap {
 
   bool Full() const { return static_cast<int>(items_.size()) >= k_; }
   double MinScore() const { return items_.front().score; }
-  // The current k-th item (worst kept) — the pair a full heap certifies to
-  // the cross-shard watermark.
-  const ScoredEntity& Min() const { return items_.front(); }
 
   std::vector<ScoredEntity> Sorted() && {
     std::sort(items_.begin(), items_.end(), Better);
@@ -234,31 +231,6 @@ class QueryKernel {
     return n;
   }
 
-  // Compressed twin of Intersect: consumes the candidate's encoded id list
-  // without a cursor-side decode. The merge path gallops across undecoded
-  // blocks from their skip entries; the bitmap path expands one block at a
-  // time into a stack buffer and probes bits. Both count exactly the set
-  // Intersect would count over the decoded span, and neither allocates —
-  // safe from eval_threads workers sharing this kernel read-only.
-  uint32_t IntersectPacked(int level0, const PackedIdListView& packed) const {
-    const auto& bits = bits_[level0];
-    if (bits.empty()) {
-      return IntersectPackedSorted(
-          packed, {q_cells_[level0].data(), q_cells_[level0].size()});
-    }
-    uint32_t n = 0;
-    const uint64_t* b = bits.data();
-    uint32_t buf[kIdBlock];
-    const uint32_t blocks = packed.num_blocks();
-    for (uint32_t blk = 0; blk < blocks; ++blk) {
-      const uint32_t count = packed.DecodeBlock(blk, buf);
-      for (uint32_t i = 0; i < count; ++i) {
-        n += static_cast<uint32_t>((b[buf[i] >> 6] >> (buf[i] & 63)) & 1u);
-      }
-    }
-    return n;
-  }
-
  private:
   std::vector<std::vector<CellId>> q_cells_;
   std::vector<std::vector<uint64_t>> bits_;
@@ -317,15 +289,6 @@ void EvalCandidates(const TraceSource& source, uint64_t as_of,
     for (EntityId e : candidates) {
       if (e == q) continue;
       for (Level l = 1; l <= m; ++l) {
-        // Compressed-direct first: a valid view intersects straight off the
-        // encoded blocks; otherwise the decoded-span path (the only path
-        // for uncompressed sources and restricted windows).
-        const auto packed = cursor.PackedCellsInWindow(e, l, w0, w1);
-        if (packed.valid()) {
-          scratch.c_sizes[l - 1] = packed.size();
-          scratch.inter[l - 1] = kernel.IntersectPacked(l - 1, packed);
-          continue;
-        }
         const auto span = cursor.CellsInWindow(e, l, w0, w1);
         scratch.c_sizes[l - 1] = static_cast<uint32_t>(span.size());
         scratch.inter[l - 1] = kernel.Intersect(l - 1, span);
@@ -349,12 +312,6 @@ void EvalCandidates(const TraceSource& source, uint64_t as_of,
       const EntityId e = candidates[i];
       if (e == q) continue;
       for (Level l = 1; l <= m; ++l) {
-        const auto packed = local->PackedCellsInWindow(e, l, w0, w1);
-        if (packed.valid()) {
-          c_sizes[l - 1] = packed.size();
-          inter[l - 1] = kernel.IntersectPacked(l - 1, packed);
-          continue;
-        }
         const auto span = local->CellsInWindow(e, l, w0, w1);
         c_sizes[l - 1] = static_cast<uint32_t>(span.size());
         inter[l - 1] = kernel.Intersect(l - 1, span);
@@ -666,28 +623,12 @@ TopKResult ForestTopKQuery(std::span<const SearchLane> lanes,
   };
 
   const double slack = 1.0 + options.approximation_epsilon;
-  CrossShardThreshold* shared = options.shared_threshold;
-  // The certified k-th score this search may prune against: its own heap's
-  // k-th once full, raised by the cross-shard watermark when one is shared
-  // (any shard's certified k-th lower-bounds the global k-th, so late
-  // shards inherit the pruning power of the searches that ran before or
-  // alongside them). Negative means nothing is certified yet. A stale
-  // (lower) watermark read only prunes less, so relaxed reads are safe.
-  const auto certified_kth = [&]() {
-    double kth = heap.Full() ? heap.MinScore() : -1.0;
-    if (shared != nullptr) kth = std::max(kth, shared->score());
-    return kth;
-  };
+  // A bound is dominated once the heap is full and its (certified) k-th
+  // score, scaled by the approximation slack, strictly exceeds it.
   const auto dominated = [&](double ub) {
-    const double kth = certified_kth();
+    if (!heap.Full()) return false;
+    const double kth = heap.MinScore();
     return kth >= 0.0 && kth * slack > ub;
-  };
-  // Publishes this search's own k-th to the watermark (at leaf-batch
-  // granularity — offers take a lock, pops don't).
-  const auto publish_kth = [&]() {
-    if (shared == nullptr || !heap.Full()) return;
-    const ScoredEntity& kth = heap.Min();
-    if (shared->Offer(kth.score, kth.entity)) ++stats.threshold_updates;
   };
   // Zone-map bound (paged lanes only): an admissible bound on an
   // unmaterialized entry computed from resident data alone. The zone gives
@@ -819,7 +760,6 @@ TopKResult ForestTopKQuery(std::span<const SearchLane> lanes,
                        measure, q, q_sizes, kernel, w0, w1, node.entities,
                        options, lane_cursor(entry.lane), heap, stats, scratch,
                        search_status);
-        publish_kth();
         pool.Release(entry.remaining);
         break;
       }

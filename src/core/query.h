@@ -1,9 +1,7 @@
 #ifndef DTRACE_CORE_QUERY_H_
 #define DTRACE_CORE_QUERY_H_
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <vector>
@@ -30,13 +28,14 @@ struct QueryStats {
   uint64_t hash_evals = 0;
   /// Cross-shard pruning layer (core/sharded_index.h): whole shards skipped
   /// by the coarse router because their population-wide upper bound could
-  /// not beat the certified global k-th score, coarse-router bound
-  /// evaluations performed (one per shard per routed query), and successful
-  /// raises of the shared k-th-score watermark by this search. All zero for
+  /// not beat the certified global k-th score, and coarse-router bound
+  /// evaluations performed (one per shard per routed query). Both zero for
   /// unrouted / single-index queries; MergeShardTopK sums them like the
   /// other counters.
   uint64_t shards_pruned = 0;
   uint64_t router_bound_evals = 0;
+  /// Always 0 (no search shares a k-th-score watermark any more); kept
+  /// only because perfbench/src/workloads.cc still sums it.
   uint64_t threshold_updates = 0;
   /// Unrecoverable tree pages the index quarantined and repacked away after
   /// this query hit them (core/index.cc's repair path; DESIGN-storage.md
@@ -90,56 +89,6 @@ struct TimeWindow {
   TimeStep end;  // exclusive
 };
 
-/// Per-query shared watermark for concurrent (or sequential) shard
-/// searches: the best *certified* k-th item seen so far across shards,
-/// ordered exactly like MergeShardTopK / TopKHeap — (score descending,
-/// entity id ascending). "Certified" means the offering search had k
-/// exactly-evaluated entities at least as good as the offered item, so the
-/// final global k-th item can only be better: any node whose upper bound is
-/// *strictly* below score() can therefore never contribute to the merged
-/// top-k, for any shard interleaving. Strictness is what preserves the
-/// canonical tie set (DESIGN-sharding.md) — a node whose bound ties the
-/// watermark may still hold tying candidates that win on entity id, so it
-/// is never pruned by the watermark alone.
-///
-/// score() starts at 0.0, which is indistinguishable from a certified
-/// 0-score watermark — harmless either way, since bounds are non-negative
-/// and pruning is strict. Reads are a relaxed atomic load (hot path);
-/// offers take a mutex (they happen at most once per leaf batch). The
-/// tie entity is bookkeeping only: it totalizes the update order so
-/// equal-score offers resolve deterministically.
-class CrossShardThreshold {
- public:
-  /// Offers a certified k-th (score, entity). Keeps the incumbent unless
-  /// the offer is strictly better in (score desc, id asc) order; returns
-  /// whether the watermark moved (QueryStats::threshold_updates).
-  bool Offer(double score, EntityId entity) {
-    if (score < score_.load(std::memory_order_relaxed)) return false;
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (score > best_score_ ||
-        (score == best_score_ && entity < best_entity_)) {
-      best_score_ = score;
-      best_entity_ = entity;
-      score_.store(score, std::memory_order_relaxed);
-      return true;
-    }
-    return false;
-  }
-
-  /// Current certified k-th score (0.0 until the first offer). Safe to read
-  /// concurrently with offers; a stale (lower) value only prunes less.
-  /// Pruning reads only the score — the tie entity exists to make the
-  /// update order (hence threshold_updates counting) total and
-  /// deterministic when scores tie.
-  double score() const { return score_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> score_{0.0};
-  mutable std::mutex mu_;
-  double best_score_ = 0.0;
-  EntityId best_entity_ = kInvalidEntity;
-};
-
 /// Per-query options: time window, approximation, the trace source and
 /// version to evaluate against, evaluation parallelism and shard routing.
 struct QueryOptions {
@@ -182,28 +131,20 @@ struct QueryOptions {
   /// Ignored by in-memory sources.
   int prefetch_depth = 0;
   /// Cross-shard pruning layer (read by ShardedIndex only; single-index
-  /// queries ignore it): route the shard fan-out through the coarse router
-  /// — shards visited best-bound-first, whole shards skipped when their
-  /// population-wide bound cannot beat the certified global k-th score —
-  /// and propagate that k-th score between shard searches through a shared
-  /// CrossShardThreshold. Results stay bit-identical to the unrouted
-  /// fan-out (and to the single-tree oracle); only QueryStats counters
-  /// shrink. The identity proof needs exact mode, so routing is ignored
-  /// when approximation_epsilon > 0 (the fan-out falls back to the
-  /// unrouted grid, whose approximate traversal is at least
-  /// run-deterministic). Off by default because counter/io accounting
-  /// becomes propagation-order-dependent when shards run concurrently
-  /// (QueryMany's routed path visits shards serially per query, so its
-  /// accounting stays deterministic across thread counts).
+  /// queries ignore it): search every shard as one forest walk
+  /// (ForestTopKQuery) — each shard's root capped by its coarse-router
+  /// bound, whole shards skipped when that bound cannot beat the certified
+  /// global k-th score. Results stay bit-identical to the unrouted fan-out
+  /// (and to the single-tree oracle); only QueryStats counters shrink. The
+  /// identity proof needs exact mode, so routing is ignored when
+  /// approximation_epsilon > 0 (the fan-out falls back to the unrouted
+  /// grid, whose approximate traversal is at least run-deterministic). Off
+  /// by default because the forest walk is serial, while the unrouted
+  /// fan-out overlaps the shards' searches in wall time.
   bool cross_shard_routing = false;
-  /// Internal plumbing for the routed fan-out: when set, the search reads
-  /// this watermark to tighten early termination and the child-push guard,
-  /// and publishes its own k-th score after each leaf batch. Callers other
-  /// than ShardedIndex leave it null.
-  CrossShardThreshold* shared_threshold = nullptr;
 };
 
-/// One lane of a forest search (the routed ShardedIndex fan-out): a tree
+/// One lane of a forest search (the routed ShardedIndex query): a tree
 /// (an in-memory MinSigTree or its paged snapshot — any TreeSource) over a
 /// slice of the entity population, the source its
 /// candidate traces are read from, and the lane's population-wide coarse

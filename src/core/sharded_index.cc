@@ -1,8 +1,6 @@
 #include "core/sharded_index.h"
 
 #include <algorithm>
-#include <atomic>
-#include <mutex>
 #include <numeric>
 #include <utility>
 
@@ -37,7 +35,6 @@ TopKResult MergeShardTopK(std::span<const TopKResult> shard_results, int k) {
     merged.stats.hash_evals += r.stats.hash_evals;
     merged.stats.shards_pruned += r.stats.shards_pruned;
     merged.stats.router_bound_evals += r.stats.router_bound_evals;
-    merged.stats.threshold_updates += r.stats.threshold_updates;
     merged.stats.pages_quarantined += r.stats.pages_quarantined;
     merged.stats.elapsed_seconds += r.stats.elapsed_seconds;
     merged.stats.work_seconds += r.stats.work_seconds;
@@ -157,158 +154,63 @@ ShardedIndex ShardedIndex::Build(std::shared_ptr<TraceStore> store,
   return sharded;
 }
 
-TopKResult ShardedIndex::RoutedFanOut(EntityId q, int k,
-                                      const AssociationMeasure& measure,
-                                      const QueryOptions& options,
-                                      int shard_threads) const {
+TopKResult ShardedIndex::RoutedQuery(EntityId q, int k,
+                                     const AssociationMeasure& measure,
+                                     const QueryOptions& options) const {
   const size_t num_shards = shards_.size();
   const TraceSource* default_source =
       options.trace_source != nullptr ? options.trace_source : store_.get();
   DT_CHECK_MSG(default_source->num_entities() == store_->num_entities(),
                "trace_source describes a different dataset");
 
-  const int workers =
-      std::min<int>(ResolveThreadCount(shard_threads),
-                    static_cast<int>(num_shards));
-  if (workers <= 1) {
-    // Serial visit: search the whole forest as ONE best-first expansion
-    // (core/query.h ForestTopKQuery) — a single frontier over every shard
-    // tree, each root capped by its coarse-signature bound (derived inside
-    // the search from its own hash table, so the router costs no extra
-    // hashing), one global heap. This prunes exactly like the big single
-    // tree (late lanes never re-check candidates the global k-th already
-    // beats), builds the per-query filtering state once instead of once
-    // per shard, and keeps result AND counter/io accounting fully
-    // deterministic — which is why the routed QueryMany runs every query
-    // this way.
-    //
-    // Each lane is a ReadPin + a SnapshotSignature copy captured with a
-    // version handshake: version -> signature -> pin, accepted only when
-    // the pin still carries the pre-signature version. That pairing is
-    // what keeps the coarse bound admissible for the pinned tree — every
-    // entity the pin contains committed before the signature read (and its
-    // Absorb ran even earlier), and any Refresh raise the signature
-    // reflects refers to a tree state the pin includes. If a writer
-    // commits inside the handshake we retry, and after a few spins fall
-    // back to an all-zero signature (no pruning for that lane — always
-    // admissible) rather than spin against a hot writer.
-    std::vector<DigitalTraceIndex::ReadPin> pins;
-    pins.reserve(num_shards);
-    std::vector<std::vector<uint64_t>> coarse(num_shards);
-    std::vector<SearchLane> lanes(num_shards);
-    for (size_t s = 0; s < num_shards; ++s) {
-      const int sid = static_cast<int>(s);
-      bool stable = false;
-      for (int attempt = 0; attempt < 4 && !stable; ++attempt) {
-        // Drop the previous attempt's pin before re-pinning: on an
-        // in-memory tree it holds the read latch, and the writer-preference
-        // latch queues a second acquisition behind a writer that is itself
-        // waiting for the first to drain.
-        if (s < pins.size()) pins.pop_back();
-        const uint64_t v = shards_[s]->version();
-        coarse[s] = router_.SnapshotSignature(sid);
-        pins.push_back(shards_[s]->PinForRead());
-        stable = pins[s].version() == v;
-      }
-      if (!stable) std::fill(coarse[s].begin(), coarse[s].end(), 0);
-      // The lane reads candidate traces as of its own pin's version, so a
-      // ReplaceEntity committing into one shard mid-walk cannot leak its
-      // new trace into a lane pinned before it.
-      lanes[s] = {&pins[s].tree(),
-                  shard_sources_[s] != nullptr ? shard_sources_[s]
-                                               : default_source,
-                  coarse[s], pins[s].version()};
-    }
-    return ForestTopKQuery(lanes, *default_source, shards_[0]->hasher(),
-                           measure, q, k, options);
-  }
-  // Concurrent visit: independent per-shard searches coupled through a
-  // shared watermark — weaker pruning than the unified forest walk (each
-  // shard still pays its own warm-up and per-query state), but the shards
-  // overlap in wall time. Bounds come from a router probe (one hashing
-  // pass over the query's windowed cells, read from the in-memory store so
-  // no storage I/O is charged); shards are visited best-bound-first and
-  // skipped when the watermark strictly beats their bound.
-  const TimeStep w0 = options.time_window ? options.time_window->begin : 0;
-  const TimeStep w1 =
-      options.time_window ? options.time_window->end : store_->horizon();
-  CoarseShardRouter::QueryProbe probe;
-  const auto cursor = store_->OpenCursor();
-  router_.BuildProbe(*cursor, q, shards_[0]->hasher(),
-                     store_->hierarchy().num_levels(), w0, w1, &probe);
-  // Bounds are version-stamped: a shard may only be SKIPPED if its version
-  // still matches the pre-signature read at decision time (below), so a
-  // bound never prunes a tree state it was not computed against. Visiting
-  // a shard is always safe — per-shard search is exact.
-  std::vector<double> bounds(num_shards);
-  std::vector<uint64_t> bound_versions(num_shards);
+  // Search the whole forest as ONE best-first expansion (core/query.h
+  // ForestTopKQuery) — a single frontier over every shard tree, each root
+  // capped by its coarse-signature bound (derived inside the search from its
+  // own hash table, so the router costs no extra hashing), one global heap.
+  // This prunes exactly like the big single tree (late lanes never re-check
+  // candidates the global k-th already beats), builds the per-query
+  // filtering state once instead of once per shard, and keeps result AND
+  // counter/io accounting fully deterministic.
+  //
+  // Each lane is a ReadPin + a SnapshotSignature copy captured with a
+  // version handshake: version -> signature -> pin, accepted only when the
+  // pin still carries the pre-signature version. That pairing is what keeps
+  // the coarse bound admissible for the pinned tree — every entity the pin
+  // contains committed before the signature read (and its Absorb ran even
+  // earlier), and any Refresh raise the signature reflects refers to a tree
+  // state the pin includes. If a writer commits inside the handshake we
+  // retry, and after a few spins fall back to an all-zero signature (no
+  // pruning for that lane — always admissible) rather than spin against a
+  // hot writer.
+  std::vector<DigitalTraceIndex::ReadPin> pins;
+  pins.reserve(num_shards);
+  std::vector<std::vector<uint64_t>> coarse(num_shards);
+  std::vector<SearchLane> lanes(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
-    bound_versions[s] = shards_[s]->version();
-    bounds[s] = router_.ShardBound(router_.SnapshotSignature(static_cast<int>(s)),
-                                   probe, measure);
+    const int sid = static_cast<int>(s);
+    bool stable = false;
+    for (int attempt = 0; attempt < 4 && !stable; ++attempt) {
+      // Drop the previous attempt's pin before re-pinning: on an in-memory
+      // tree it holds the read latch, and the writer-preference latch queues
+      // a second acquisition behind a writer that is itself waiting for the
+      // first to drain.
+      if (s < pins.size()) pins.pop_back();
+      const uint64_t v = shards_[s]->version();
+      coarse[s] = router_.SnapshotSignature(sid);
+      pins.push_back(shards_[s]->PinForRead());
+      stable = pins[s].version() == v;
+    }
+    if (!stable) std::fill(coarse[s].begin(), coarse[s].end(), 0);
+    // The lane reads candidate traces as of its own pin's version, so a
+    // ReplaceEntity committing into one shard mid-walk cannot leak its new
+    // trace into a lane pinned before it.
+    lanes[s] = {&pins[s].tree(),
+                shard_sources_[s] != nullptr ? shard_sources_[s]
+                                             : default_source,
+                coarse[s], pins[s].version()};
   }
-  std::vector<uint32_t> order(num_shards);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    if (bounds[a] != bounds[b]) return bounds[a] > bounds[b];
-    return a < b;
-  });
-  CrossShardThreshold threshold;
-  std::vector<TopKResult> per_shard(num_shards);
-  std::atomic<uint64_t> shards_pruned{0};
-  // Running cross-shard merge: as shards complete, their exact top-k items
-  // accumulate into a bounded merged list whose k-th entry certifies the
-  // strongest watermark available — the merged k-th of every finished
-  // shard, which dominates any single shard's local k-th. This is what
-  // lets the third and fourth shard terminate almost as early as the big
-  // single tree would.
-  std::mutex merged_mu;
-  std::vector<ScoredEntity> merged_topk;
-  const auto offer_merged = [&](const std::vector<ScoredEntity>& items) {
-    if (items.empty()) return;
-    const std::lock_guard<std::mutex> lock(merged_mu);
-    merged_topk.insert(merged_topk.end(), items.begin(), items.end());
-    std::sort(merged_topk.begin(), merged_topk.end(),
-              [](const ScoredEntity& a, const ScoredEntity& b) {
-                if (a.score != b.score) return a.score > b.score;
-                return a.entity < b.entity;
-              });
-    if (merged_topk.size() > static_cast<size_t>(k)) {
-      merged_topk.resize(static_cast<size_t>(k));
-    }
-    if (merged_topk.size() == static_cast<size_t>(k)) {
-      threshold.Offer(merged_topk.back().score, merged_topk.back().entity);
-    }
-  };
-  // Workers claim shards in rank order (chunk 0 — the calling thread —
-  // takes the best-ranked shards). Only reached with more than one
-  // worker: the serial case returned above via the forest walk.
-  ParallelForEach(shard_threads, num_shards, [&](size_t rank) {
-    const uint32_t s = order[rank];
-    // Strict: a shard whose bound ties the watermark may hold tying
-    // candidates that win on entity id, so it is never skipped. (Routing
-    // only runs in exact mode, so no approximation slack applies here.)
-    // The version re-check downgrades a stale bound to "visit": if a
-    // writer committed into this shard since the bound's signature read,
-    // the bound may not be admissible for the tree the search would pin.
-    if (threshold.score() > bounds[s] &&
-        shards_[s]->version() == bound_versions[s]) {
-      shards_pruned.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    QueryOptions shard_options = options;
-    shard_options.shared_threshold = &threshold;
-    if (shard_sources_[s] != nullptr) {
-      shard_options.trace_source = shard_sources_[s];
-    }
-    per_shard[s] = shards_[s]->Query(q, k, measure, shard_options);
-    offer_merged(per_shard[s].items);
-  });
-  TopKResult merged = MergeShardTopK(per_shard, k);
-  merged.stats.router_bound_evals += num_shards;
-  merged.stats.shards_pruned +=
-      shards_pruned.load(std::memory_order_relaxed);
-  return merged;
+  return ForestTopKQuery(lanes, *default_source, shards_[0]->hasher(),
+                         measure, q, k, options);
 }
 
 TopKResult ShardedIndex::Query(EntityId q, int k,
@@ -321,7 +223,7 @@ TopKResult ShardedIndex::Query(EntityId q, int k,
   Timer timer;
   TopKResult merged;
   if (options.cross_shard_routing && options.approximation_epsilon == 0.0) {
-    merged = RoutedFanOut(q, k, measure, options, shard_threads);
+    merged = RoutedQuery(q, k, measure, options);
   } else {
     std::vector<TopKResult> per_shard(shards_.size());
     ParallelForEach(shard_threads, shards_.size(), [&](size_t s) {
@@ -344,15 +246,11 @@ std::vector<TopKResult> ShardedIndex::QueryMany(
   const size_t num_shards = shards_.size();
   std::vector<TopKResult> results(queries.size());
   if (options.cross_shard_routing && options.approximation_epsilon == 0.0) {
-    // Routed batches parallelize across queries only: each query walks its
-    // shards serially, best-bound-first, carrying the threshold from shard
-    // to shard. That keeps every per-query result AND its counter/io totals
-    // deterministic for any thread count (each query's visit sequence is
-    // self-contained), and late shards see the strongest possible
-    // watermark.
+    // Routed batches parallelize across queries only: each query is one
+    // serial forest walk, so every per-query result AND its counter/io
+    // totals are deterministic for any thread count.
     ParallelForEach(num_threads, queries.size(), [&](size_t i) {
-      results[i] =
-          RoutedFanOut(queries[i], k, measure, options, /*shard_threads=*/1);
+      results[i] = RoutedQuery(queries[i], k, measure, options);
     });
     return results;
   }
@@ -456,7 +354,7 @@ void ShardedIndex::Refresh() {
     // slots, and it must land strictly AFTER the refreshed tree commit:
     // a reader that observes the raised signature then pins a tree at
     // least as new as the refresh, so the tighter bound is admissible for
-    // whatever it reads (the version handshake in RoutedFanOut enforces
+    // whatever it reads (the version handshake in RoutedQuery enforces
     // the pairing).
     shards_[s]->Refresh();
     RefreshRouterShard(static_cast<int>(s));

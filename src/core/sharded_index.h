@@ -33,7 +33,7 @@ uint32_t ShardOfEntity(EntityId e, uint32_t num_shards);
 /// entity space, so ids never collide across inputs and the merge needs no
 /// deduplication. Counter stats (nodes_visited, entities_checked,
 /// heap_pushes, hash_evals, shards_pruned, router_bound_evals,
-/// threshold_updates), work_seconds, and TraceIoStats sum across shards.
+/// pages_quarantined), work_seconds, and TraceIoStats sum across shards.
 /// elapsed_seconds also sums, but callers measuring the wall time of a
 /// parallel fan-out overwrite it — the summed per-shard work stays
 /// available in work_seconds.
@@ -90,13 +90,14 @@ struct ShardedIndexOptions {
 /// Cross-shard pruning (QueryOptions::cross_shard_routing): every build
 /// also extracts a shared coarse routing level — one population-wide
 /// level-1 min-signature per shard (CoarseShardRouter) over the same hash
-/// family. A routed query bounds each shard once, visits shards
-/// best-bound-first, skips shards whose bound cannot beat the certified
-/// global k-th score, and threads a CrossShardThreshold through the
-/// per-shard searches so late shards terminate with the pruning power of
-/// the big single tree. Results stay bit-identical to the unrouted fan-out
-/// and the single-tree oracle (the strict-tie canonicalization in
-/// core/query.cc is what makes this safe); only the work counters shrink.
+/// family. A routed query searches every shard tree as one best-first
+/// forest walk (ForestTopKQuery): each shard's root enters one shared
+/// frontier capped by its coarse bound, and one global heap certifies the
+/// k-th score, so shards whose bound cannot beat it are skipped whole and
+/// late shards terminate with the pruning power of the big single tree.
+/// Results stay bit-identical to the unrouted fan-out and the single-tree
+/// oracle (the strict-tie canonicalization in core/query.cc is what makes
+/// this safe); only the work counters shrink.
 /// The identity argument needs exact search, so routing is ignored when
 /// QueryOptions::approximation_epsilon > 0.
 /// The router is maintained through the same insert/update/remove/Refresh
@@ -108,15 +109,15 @@ struct ShardedIndexOptions {
 /// DigitalTraceIndex reader/writer coordination, so a writer committing
 /// into one shard never stalls the fan-out into the others; every query
 /// path reads through per-shard ReadPins (taken inside the per-shard Query,
-/// or explicitly for the unified forest walk). Router slots publish
+/// or explicitly for the forest walk). Router slots publish
 /// asynchronously under the stale-LOW rule: Absorb runs BEFORE the shard
 /// tree commit (a reader that sees the new entity has certainly seen its
 /// signature absorbed), removals leave slots loose, and the one raising
 /// write — Refresh — lands strictly after the refreshed tree publishes.
 /// Routed queries validate that a shard's version did not move between the
-/// bound's signature read and the pin/skip decision, and fall back to
-/// not pruning that shard otherwise — bounds stay admissible for exactly
-/// the tree state the query reads. ReplaceEntity (trace mutation) is
+/// bound's signature read and the pin, and fall back to not pruning that
+/// shard otherwise — bounds stay admissible for exactly the tree state the
+/// query reads. ReplaceEntity (trace mutation) is
 /// covered by the same protocol: the new trace's coarse signature is
 /// absorbed into the router BEFORE the owning shard's {store override,
 /// tree update} commit, and readers score traces as of their per-shard pin
@@ -140,10 +141,10 @@ class ShardedIndex {
   /// the single-shard DigitalTraceIndex answer for any shard count and any
   /// thread count. stats.elapsed_seconds is the fan-out wall time
   /// (work_seconds keeps the summed per-shard work). With
-  /// options.cross_shard_routing the fan-out goes through the coarse
-  /// router + shared threshold: identical items, fewer entities checked;
-  /// counter/io accounting becomes interleaving-dependent when
-  /// shard_threads > 1.
+  /// options.cross_shard_routing the query is instead one serial forest walk
+  /// over every shard (shard_threads is ignored): identical items, fewer
+  /// entities checked, and results, counters and io that are deterministic
+  /// for any shard_threads.
   TopKResult Query(EntityId q, int k, const AssociationMeasure& measure,
                    const QueryOptions& options = {},
                    int shard_threads = 0) const;
@@ -153,10 +154,9 @@ class ShardedIndex {
   /// are both few. results[i] is bit-identical to Query(queries[i], ...)
   /// for every thread count; its elapsed_seconds is summed per-shard work
   /// (= work_seconds), not wall time. With options.cross_shard_routing each
-  /// query instead visits its shards serially, best-bound-first, carrying
-  /// the threshold from shard to shard — queries stay the unit of
-  /// parallelism, so results AND per-query counter/io totals are
-  /// deterministic across thread counts.
+  /// query is instead one forest walk, exactly as Query runs it — queries
+  /// stay the unit of parallelism, so results AND per-query counter/io
+  /// totals are deterministic across thread counts.
   std::vector<TopKResult> QueryMany(std::span<const EntityId> queries, int k,
                                     const AssociationMeasure& measure,
                                     const QueryOptions& options = {},
@@ -255,11 +255,11 @@ class ShardedIndex {
   /// so no reader can see the entity in the tree uncovered by the router
   /// bound (early absorption only lowers slots — admissible).
   void AbsorbIntoRouter(int s, EntityId e);
-  /// The routed fan-out behind Query/QueryMany when
-  /// options.cross_shard_routing is set: coarse bounds, best-bound-first
-  /// visit order, shard skipping, and threshold propagation.
-  TopKResult RoutedFanOut(EntityId q, int k, const AssociationMeasure& measure,
-                          const QueryOptions& options, int shard_threads) const;
+  /// The routed query behind Query/QueryMany when
+  /// options.cross_shard_routing is set: pins every shard with its coarse
+  /// signature and runs one ForestTopKQuery over them.
+  TopKResult RoutedQuery(EntityId q, int k, const AssociationMeasure& measure,
+                         const QueryOptions& options) const;
 
   std::shared_ptr<TraceStore> store_;
   ShardedIndexOptions options_;

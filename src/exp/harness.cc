@@ -39,8 +39,6 @@ PeMeasurement AggregatePe(std::span<const TopKResult> results,
     agg.mean_tree_page_hits += static_cast<double>(r.stats.io.tree_page_hits);
     agg.mean_prefetch_hits += static_cast<double>(r.stats.io.prefetch_hits);
     agg.mean_shards_pruned += static_cast<double>(r.stats.shards_pruned);
-    agg.mean_threshold_updates +=
-        static_cast<double>(r.stats.threshold_updates);
     agg.mean_router_bound_evals +=
         static_cast<double>(r.stats.router_bound_evals);
     agg.mean_work_seconds += r.stats.work_seconds;
@@ -65,7 +63,6 @@ PeMeasurement AggregatePe(std::span<const TopKResult> results,
     agg.mean_tree_page_hits /= n;
     agg.mean_prefetch_hits /= n;
     agg.mean_shards_pruned /= n;
-    agg.mean_threshold_updates /= n;
     agg.mean_router_bound_evals /= n;
     agg.mean_work_seconds /= n;
     agg.mean_io_retries /= n;

@@ -82,13 +82,6 @@ class BufferPool {
   Status Pin(PageId id, const uint8_t** out, PinOutcome* outcome = nullptr,
              PoolClient client = PoolClient::kTrace);
 
-  /// Infallible convenience Pin: same as the Status overload but aborts on
-  /// an unrecoverable load — for callers that configured no fault source
-  /// and treat failure as a bug (tests, serialization). `missed` reports
-  /// whether this pin caused a disk read.
-  const uint8_t* Pin(PageId id, bool* missed = nullptr,
-                     PoolClient client = PoolClient::kTrace);
-
   /// Pins a page for writing (marks it dirty). Always takes the shard lock,
   /// since `dirty` is shard-lock state; mutable pins exist only while pages
   /// are built.

@@ -83,24 +83,6 @@ class PagedTraceCursor final : public TraceCursor {
     return {v.data(), v.size()};
   }
 
-  PackedIdListView PackedCellsInWindow(EntityId e, Level level, TimeStep t0,
-                                       TimeStep t1) override {
-    // Only the stored base level over the unwindowed range maps onto an
-    // encoded blob; coarse levels and restricted windows need the decoded
-    // span (and the fallback path handles them).
-    if (!src_->paged_->compressed() ||
-        level != src_->hierarchy().num_levels() || t0 != 0 ||
-        t1 < src_->horizon()) {
-      return {};
-    }
-    CachedEntity& slot = Fetch(e);
-    // A failed fetch leaves the slot empty (entity stays invalid); report
-    // "no packed form" so the caller falls through to the decoded path,
-    // which returns empty data under the latched error.
-    if (slot.entity != e) return {};
-    return PackedIdListView(slot.packed.data(), slot.packed.size());
-  }
-
   std::span<const CellId> CellsInWindow(EntityId e, Level level, TimeStep t0,
                                         TimeStep t1) override {
     DT_DCHECK(t0 <= t1);

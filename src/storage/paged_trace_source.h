@@ -59,11 +59,10 @@ class PagedTraceSource final : public TraceSource {
     /// one delta-packed id-list blob of its BASE level only; the coarse
     /// levels are derived from it on read (DESIGN-storage.md "Compressed
     /// formats"). Cursors keep the packed record resident, decode and
-    /// validate the base level once per fetch, derive coarse levels lazily
-    /// into reused buffers, and hand the base level's encoded blocks
-    /// straight to the intersection kernel via PackedCellsInWindow. Results
-    /// and every search counter stay bit-identical to uncompressed; only
-    /// page counts shrink. Default off.
+    /// validate the base level once per fetch, and derive coarse levels
+    /// lazily into reused buffers; every level is then served as a decoded
+    /// span. Results and every search counter stay bit-identical to
+    /// uncompressed; only page counts shrink. Default off.
     bool compress = false;
     /// Per-cursor materialization cache capacity in entities. Pairwise
     /// reads (the intersection helpers) need both sides resident at once,

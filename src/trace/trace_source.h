@@ -88,6 +88,8 @@ class TraceCursor {
   /// invalid view means "no packed form for this window" — callers must
   /// fall back to CellsInWindow; both paths describe the same cell set.
   /// View lifetime matches CellsInWindow's span lifetime.
+  /// The query engine no longer calls it (every level is read through
+  /// CellsInWindow); kept because perfbench/src/tracing.cc overrides it.
   virtual PackedIdListView PackedCellsInWindow(EntityId e, Level level,
                                                TimeStep t0, TimeStep t1) {
     (void)e;

@@ -226,14 +226,6 @@ PackedIdListView::Skip PackedIdListView::LoadSkip(uint32_t b) const {
   return {GetU32(skip), GetU32(skip + 4), skip[8]};
 }
 
-uint32_t PackedIdListView::BlockBase(uint32_t b) const {
-  return LoadSkip(b).base;
-}
-
-bool PackedIdListView::BlockMonotone(uint32_t b) const {
-  return (LoadSkip(b).mode_width & kIdModeFoR) == 0;
-}
-
 uint32_t PackedIdListView::DecodeBlock(uint32_t b, uint32_t* buf) const {
   const Skip skip = LoadSkip(b);
   const int width = skip.mode_width & kIdWidthMask;
@@ -279,39 +271,6 @@ size_t DecodeIdList(const uint8_t* data, size_t avail,
     }
   }
   return view.total_bytes();
-}
-
-uint32_t IntersectPackedSorted(const PackedIdListView& packed,
-                               std::span<const uint32_t> sorted) {
-  if (packed.size() == 0 || sorted.empty()) return 0;
-  uint32_t buf[kIdBlock];
-  const uint32_t blocks = packed.num_blocks();
-  uint32_t n = 0;
-  size_t j = 0;  // probe cursor into `sorted`
-  for (uint32_t b = 0; b < blocks && j < sorted.size(); ++b) {
-    // Seek: the list is globally sorted, so every id of block b is
-    // <= BlockBase(b + 1). If the smallest outstanding probe is strictly
-    // past the next block's base, block b cannot contain it — skip the
-    // decode entirely (the skip-entry gallop).
-    if (b + 1 < blocks && packed.BlockBase(b + 1) < sorted[j]) continue;
-    // And if this block starts past the largest probe, nothing later can
-    // match either.
-    if (packed.BlockBase(b) > sorted.back()) break;
-    const uint32_t count = packed.DecodeBlock(b, buf);
-    size_t i = 0;
-    while (i < count && j < sorted.size()) {
-      if (buf[i] < sorted[j]) {
-        ++i;
-      } else if (sorted[j] < buf[i]) {
-        ++j;
-      } else {
-        ++n;
-        ++i;
-        ++j;
-      }
-    }
-  }
-  return n;
 }
 
 size_t EncodedU64ArrayBytes(std::span<const uint64_t> values) {

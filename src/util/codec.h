@@ -79,8 +79,7 @@ size_t DecodeIdList(const uint8_t* data, size_t avail,
                     std::vector<uint32_t>* out);
 
 /// Zero-copy view over one encoded id list: header fields plus per-block
-/// decode, the unit the compressed galloping intersection works in. The
-/// underlying bytes must outlive the view.
+/// decode. The underlying bytes must outlive the view.
 class PackedIdListView {
  public:
   PackedIdListView() = default;
@@ -95,12 +94,6 @@ class PackedIdListView {
   uint32_t total_bytes() const { return total_bytes_; }
   uint32_t num_blocks() const { return (n_ + kIdBlock - 1) / kIdBlock; }
 
-  /// Skip-entry base of block `b`: the first id of a monotone block, the
-  /// minimum of a fallback block. For a globally sorted list both readings
-  /// are the block's first (and smallest) id.
-  uint32_t BlockBase(uint32_t b) const;
-  /// True when block `b` was delta-encoded (monotone non-decreasing).
-  bool BlockMonotone(uint32_t b) const;
   /// Number of ids in block `b`.
   uint32_t BlockCount(uint32_t b) const {
     const uint32_t first = b * kIdBlock;
@@ -108,10 +101,8 @@ class PackedIdListView {
   }
   /// Decodes block `b` into `buf` (capacity >= kIdBlock); returns the count,
   /// or 0 on a corrupt per-block bit width (blocks exist only for nonempty
-  /// lists, so a valid decode always returns >= 1). The hot intersection
-  /// kernels skip the check: they only ever see checksum-verified pages, so
-  /// a 0 there silently contributes nothing — DecodeIdList (the
-  /// materializing path) does check and surfaces Corruption.
+  /// lists, so a valid decode always returns >= 1). DecodeIdList checks it
+  /// and surfaces Corruption.
   uint32_t DecodeBlock(uint32_t b, uint32_t* buf) const;
 
  private:
@@ -131,15 +122,6 @@ class PackedIdListView {
   uint32_t total_bytes_ = 0;
   bool small_ = false;
 };
-
-/// |packed ∩ sorted| where `packed` views a *globally sorted* id list. The
-/// compressed twin of IntersectSortedSize's galloping path: blocks whose id
-/// range provably misses the probe cursor are skipped from their skip
-/// entries alone — undecoded — and at most the blocks the probe lands in
-/// are expanded, into a stack buffer. Counts exactly the set a full decode
-/// + merge would count.
-uint32_t IntersectPackedSorted(const PackedIdListView& packed,
-                               std::span<const uint32_t> sorted);
 
 /// Exact encoded size of `values` under frame-of-reference packing.
 size_t EncodedU64ArrayBytes(std::span<const uint64_t> values);

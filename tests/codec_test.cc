@@ -2,35 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <vector>
 
 namespace dtrace {
 namespace {
-
-// Reference intersection count over plain vectors (sets may be non-strictly
-// sorted on the packed side only in FoR-fallback blocks, which
-// IntersectPackedSorted does not accept — both inputs here are sorted
-// unique, matching its contract).
-uint32_t ReferenceIntersect(const std::vector<uint32_t>& a,
-                            const std::vector<uint32_t>& b) {
-  uint32_t n = 0;
-  size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
-      ++n;
-      ++i;
-      ++j;
-    }
-  }
-  return n;
-}
 
 std::vector<uint32_t> SortedUniqueIds(std::mt19937& rng, size_t n,
                                       uint32_t max_gap) {
@@ -127,60 +104,12 @@ TEST(IdListCodecTest, ViewBlockAccessors) {
   uint32_t buf[kIdBlock];
   size_t at = 0;
   for (uint32_t b = 0; b < view.num_blocks(); ++b) {
-    EXPECT_TRUE(view.BlockMonotone(b));
-    EXPECT_EQ(view.BlockBase(b), ids[b * kIdBlock]);
     const uint32_t count = view.DecodeBlock(b, buf);
     ASSERT_EQ(count, view.BlockCount(b));
     for (uint32_t i = 0; i < count; ++i) EXPECT_EQ(buf[i], ids[at + i]);
     at += count;
   }
   EXPECT_EQ(at, ids.size());
-}
-
-TEST(IdListCodecTest, PackedIntersectMatchesReference) {
-  std::mt19937 rng(99);
-  for (int trial = 0; trial < 50; ++trial) {
-    const auto packed_ids = SortedUniqueIds(rng, 1 + rng() % 700, 40);
-    // Mix of members and non-members so matches land throughout blocks.
-    std::vector<uint32_t> probe;
-    for (uint32_t v : packed_ids) {
-      if (rng() % 3 == 0) probe.push_back(v);
-    }
-    const auto extra = SortedUniqueIds(rng, 50, 60);
-    probe.insert(probe.end(), extra.begin(), extra.end());
-    std::sort(probe.begin(), probe.end());
-    probe.erase(std::unique(probe.begin(), probe.end()), probe.end());
-
-    std::vector<uint8_t> enc;
-    EncodeIdList(packed_ids, &enc);
-    const PackedIdListView view(enc.data(), enc.size());
-    EXPECT_EQ(IntersectPackedSorted(view, probe),
-              ReferenceIntersect(packed_ids, probe));
-  }
-}
-
-TEST(IdListCodecTest, PackedIntersectSeeksAcrossBlockBoundaries) {
-  // Probes that land exactly on block-first ids exercise the skip logic's
-  // boundary comparisons (a wrong <= would drop matches at block edges).
-  std::vector<uint32_t> ids;
-  for (uint32_t i = 0; i < 5 * kIdBlock; ++i) ids.push_back(10 * i);
-  std::vector<uint8_t> enc;
-  EncodeIdList(ids, &enc);
-  const PackedIdListView view(enc.data(), enc.size());
-  for (uint32_t b = 0; b < view.num_blocks(); ++b) {
-    const std::vector<uint32_t> probe = {view.BlockBase(b)};
-    EXPECT_EQ(IntersectPackedSorted(view, probe), 1u) << "block " << b;
-  }
-  // One probe per block boundary at once: every block must be landed in.
-  std::vector<uint32_t> probes;
-  for (uint32_t b = 0; b < view.num_blocks(); ++b) {
-    probes.push_back(view.BlockBase(b));
-  }
-  EXPECT_EQ(IntersectPackedSorted(view, probes), view.num_blocks());
-  // Probes past the end and before the start count nothing.
-  EXPECT_EQ(IntersectPackedSorted(view, std::vector<uint32_t>{ids.back() + 1}),
-            0u);
-  EXPECT_EQ(IntersectPackedSorted(view, std::vector<uint32_t>{5}), 0u);
 }
 
 TEST(IdListCodecRecoverableTest, CorruptBitWidthReturnsZero) {
@@ -233,17 +162,14 @@ TEST(IdListCodecRecoverableTest, CorruptViewIsInvalidAndEmpty) {
   std::vector<uint8_t> enc;
   EncodeIdList(ids, &enc);
   // An over-wide skip entry is caught per block: the view stays valid (the
-  // ctor only validates the header and lengths), DecodeBlock refuses the
-  // damaged block with 0, and intersection sees only the intact blocks —
-  // never a crash or an out-of-bounds read. The slow path (DecodeIdList)
-  // rejects the whole blob.
+  // ctor only validates the header and lengths) and DecodeBlock refuses the
+  // damaged block with 0 — never a crash or an out-of-bounds read. The slow
+  // path (DecodeIdList) rejects the whole blob.
   enc[1 + kIdHeaderBytes + kIdSkipBytes - 1] = 60;
   const PackedIdListView view(enc.data(), enc.size());
   ASSERT_TRUE(view.valid());
   std::vector<uint32_t> buf(kIdBlock);
   EXPECT_EQ(view.DecodeBlock(0, buf.data()), 0u);
-  EXPECT_EQ(IntersectPackedSorted(view, ids),
-            static_cast<uint32_t>(ids.size()) - kIdBlock);
   std::vector<uint32_t> dec;
   EXPECT_EQ(DecodeIdList(enc.data(), enc.size(), &dec), 0u);
   EXPECT_TRUE(dec.empty());

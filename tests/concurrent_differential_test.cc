@@ -224,8 +224,8 @@ void ReaderLoop(const ShardedIndex& live, const VersionedOracle& oracle,
       }
       // Full fan-out protocol: some version VECTOR inside the per-shard
       // windows must reproduce the merged result. Alternates routing and
-      // fan-out thread counts so all three query paths (unrouted grid,
-      // unified forest walk, concurrent routed visit) race the writer.
+      // fan-out thread counts so both query paths (unrouted grid and forest
+      // walk) race the writer.
       QueryOptions opts;
       opts.cross_shard_routing = (iter % 2 == 0);
       const int shard_threads = (iter % 4 < 2) ? 1 : 2;

@@ -58,7 +58,8 @@ TEST(PageReclaimTest, DiscardDropsStaleFrameBeforeReuse) {
   Page page{};
   page.data[0] = 0xAB;
   ASSERT_TRUE(disk.Write(p, page).ok());
-  const uint8_t* frame = pool.Pin(p);
+  const uint8_t* frame = nullptr;
+  ASSERT_TRUE(pool.Pin(p, &frame).ok());
   EXPECT_EQ(frame[0], 0xAB);
   pool.Unpin(p);
 
@@ -70,7 +71,7 @@ TEST(PageReclaimTest, DiscardDropsStaleFrameBeforeReuse) {
   ASSERT_EQ(q, p);
   page.data[0] = 0xCD;
   ASSERT_TRUE(disk.Write(q, page).ok());
-  frame = pool.Pin(q);
+  ASSERT_TRUE(pool.Pin(q, &frame).ok());
   EXPECT_EQ(frame[0], 0xCD) << "stale buffer-pool frame served old bytes";
   pool.Unpin(q);
 }

@@ -5,10 +5,11 @@
 // against ShardedIndex instances at {1, 2, 4, 7} shards, over both storage
 // backends (in-memory TraceStore and PagedTraceSource, shared or per-shard
 // pools), across thread counts, and with the cross-shard pruning layer
-// (coarse router + threshold propagation) off, on, and mixed — and every
-// configuration must return results bit-identical to the single-tree
+// (coarse router + one forest walk per query) off, on, and mixed — and
+// every configuration must return results bit-identical to the single-tree
 // DigitalTraceIndex oracle, with routed runs checking monotonically
-// non-increasing entity counts vs the unrouted fan-out.
+// non-increasing entity counts vs the unrouted fan-out, and routed counters
+// and io identical for every shard_threads.
 // Aggregated QueryStats::io must also be consistent: per-query access
 // totals are deterministic across thread counts for a fixed configuration,
 // and the 1-shard sharded instance charges exactly the oracle's I/O.
@@ -68,6 +69,23 @@ void ExpectIdentical(const TopKResult& expected, const TopKResult& actual,
   }
 }
 
+// One deterministic search charges the same I/O on every run.
+void ExpectSameIo(const TraceIoStats& a, const TraceIoStats& b,
+                  const char* what) {
+  EXPECT_EQ(a.entities_fetched, b.entities_fetched) << what;
+  EXPECT_EQ(a.pages_read, b.pages_read) << what;
+  EXPECT_EQ(a.pages_hit, b.pages_hit) << what;
+  EXPECT_EQ(a.bytes_read, b.bytes_read) << what;
+  EXPECT_EQ(a.cache_hits, b.cache_hits) << what;
+  EXPECT_EQ(a.prefetch_hits, b.prefetch_hits) << what;
+  EXPECT_EQ(a.tree_pages_read, b.tree_pages_read) << what;
+  EXPECT_EQ(a.tree_page_hits, b.tree_page_hits) << what;
+  EXPECT_EQ(a.io_retries, b.io_retries) << what;
+  EXPECT_EQ(a.checksum_failures, b.checksum_failures) << what;
+  EXPECT_EQ(a.faults_injected, b.faults_injected) << what;
+  EXPECT_EQ(a.modeled_io_seconds, b.modeled_io_seconds) << what;
+}
+
 // One randomized query plan: entity, k, and an optional time window.
 struct QueryPlan {
   EntityId q;
@@ -98,10 +116,11 @@ std::vector<QueryPlan> MakePlans(const World& w, size_t count, uint64_t seed) {
 
 // Every sharded configuration must reproduce the oracle bit for bit, for
 // every shard count, across shard-fan-out thread counts, and with the
-// cross-shard pruning layer (coarse router + threshold propagation) both
-// off and on. Routed runs must additionally never check more entities than
-// the unrouted fan-out — the layer exists to prune, and pruning only ever
-// removes exact evaluations.
+// cross-shard pruning layer (coarse router + forest walk) both off and on.
+// Routed runs must additionally never check more entities than the
+// unrouted fan-out — the layer exists to prune, and pruning only ever
+// removes exact evaluations — and, being one serial forest walk whatever
+// shard_threads says, report identical counters and io for every value.
 void CheckAgainstOracle(const World& w, const std::vector<QueryPlan>& plans) {
   for (const QueryPlan& plan : plans) {
     const TopKResult expected =
@@ -123,19 +142,22 @@ void CheckAgainstOracle(const World& w, const std::vector<QueryPlan>& plans) {
       }
       QueryOptions routed_opts = plan.options;
       routed_opts.cross_shard_routing = true;
+      std::vector<TopKResult> routed;
       for (int shard_threads : {1, 3}) {
-        // shard_threads == 1 takes the unified forest walk; > 1 takes the
-        // concurrent per-shard fan-out with the shared watermark. Both must
-        // match the oracle exactly and prune at least as hard as the
-        // unrouted grid.
-        const TopKResult routed = w.sharded[si]->Query(
+        routed.push_back(w.sharded[si]->Query(
             plan.q, plan.k,
             PolynomialLevelMeasure(w.dataset.hierarchy->num_levels()),
-            routed_opts, shard_threads);
-        ExpectIdentical(expected, routed, "routed");
-        EXPECT_LE(routed.stats.entities_checked, unrouted_checked)
+            routed_opts, shard_threads));
+        ExpectIdentical(expected, routed.back(), "routed");
+        EXPECT_LE(routed.back().stats.entities_checked, unrouted_checked)
             << "routing must be monotonically non-increasing in work";
       }
+      const QueryStats& one = routed[0].stats;
+      const QueryStats& three = routed[1].stats;
+      EXPECT_EQ(one.nodes_visited, three.nodes_visited);
+      EXPECT_EQ(one.entities_checked, three.entities_checked);
+      EXPECT_EQ(one.heap_pushes, three.heap_pushes);
+      ExpectSameIo(one.io, three.io, "routed shard_threads 1 vs 3");
     }
   }
 }
@@ -428,7 +450,7 @@ TEST(ShardedDifferentialTest, MixedRoutingSweepStaysAligned) {
   // Routing is a pure per-query choice: interleaving routed and unrouted
   // queries on the same index (and flipping the flag between repetitions of
   // the same query) must leave every answer bit-identical to the oracle —
-  // no cross-query state leaks through the router or the watermark.
+  // no cross-query state leaks through the router.
   World w(500, /*data_seed=*/97, Range(0, 500));
   PolynomialLevelMeasure measure(w.dataset.hierarchy->num_levels());
   const auto plans = MakePlans(w, 8, /*seed=*/307);
@@ -498,10 +520,11 @@ TEST(ShardedDifferentialTest, PagedTreesMatchOracleAcrossConfigurations) {
   // CheckAgainstOracle grid — shard counts, fan-out thread counts, routing
   // off and on — must still reproduce the in-memory-tree oracle bit for
   // bit, including the routed runs' monotone entities_checked. Note that
-  // heap_pushes is deliberately compared nowhere in this file: a zone-map
-  // rejection elides a stranded re-push the in-memory walk performs, so
-  // that counter legitimately differs while results, entities_checked and
-  // nodes_visited stay identical (DESIGN-paged-index.md).
+  // heap_pushes is never compared against the in-memory-tree oracle (only
+  // between two runs over the same trees): a zone-map rejection elides a
+  // stranded re-push the in-memory walk performs, so that counter
+  // legitimately differs while results, entities_checked and nodes_visited
+  // stay identical (DESIGN-paged-index.md).
   World w(500, /*data_seed=*/97, Range(0, 500));
   for (auto& sharded : w.sharded) sharded->EnablePagedTrees();
   CheckAgainstOracle(w, MakePlans(w, 8, /*seed=*/301));

@@ -199,12 +199,10 @@ void RunShardedCell(int num_shards, bool compress, bool paged) {
 
   PolynomialLevelMeasure measure(dataset.hierarchy->num_levels());
   const auto queries = SampleQueries(*dataset.store, 4, 0xCAFE);
-  // Both fan-out paths: the routed one additionally proves the coarse
-  // router state survived (same shards pruned on both sides). The routed
-  // default path is the concurrent threshold fan-out, whose counters
-  // ShardedIndex::Query documents as interleaving-dependent, so it is
-  // compared on items only; the routed counters are compared on the serial
-  // forest walk (shard_threads = 1), where they are deterministic.
+  // Both fan-out paths, on their default shard_threads: the routed one
+  // additionally proves the coarse router state survived (same shards
+  // pruned on both sides). Its counters are deterministic for any
+  // shard_threads (one serial forest walk), so they are compared too.
   for (const bool routed : {false, true}) {
     QueryOptions opts;
     opts.cross_shard_routing = routed;
@@ -215,22 +213,7 @@ void RunShardedCell(int num_shards, bool compress, bool paged) {
           return loaded.index->Query(q, kTopK, measure, opts);
         },
         routed ? "sharded routed" : "sharded unrouted",
-        /*compare_counters=*/!routed);
-    if (::testing::Test::HasFatalFailure()) return;
-  }
-  {
-    QueryOptions opts;
-    opts.cross_shard_routing = true;
-    ExpectBitIdentical(
-        queries,
-        [&](EntityId q) {
-          return index.Query(q, kTopK, measure, opts, /*shard_threads=*/1);
-        },
-        [&](EntityId q) {
-          return loaded.index->Query(q, kTopK, measure, opts,
-                                     /*shard_threads=*/1);
-        },
-        "sharded routed serial");
+        /*compare_counters=*/true);
     if (::testing::Test::HasFatalFailure()) return;
   }
   // QueryMany batches through the same versioned pins.

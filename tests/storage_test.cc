@@ -42,6 +42,17 @@ TEST(SimDiskTest, ChargesModeledLatency) {
   EXPECT_EQ(disk.reads(), 0u);
 }
 
+// Pins through the Status overload. No fault source is configured where
+// this is used, so every load must succeed.
+const uint8_t* PinOk(BufferPool& pool, PageId id,
+                     BufferPool::PinOutcome* outcome = nullptr,
+                     PoolClient client = PoolClient::kTrace) {
+  const uint8_t* data = nullptr;
+  const Status st = pool.Pin(id, &data, outcome, client);
+  EXPECT_TRUE(st.ok()) << st.message();
+  return data;
+}
+
 class BufferPoolTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -58,10 +69,10 @@ class BufferPoolTest : public ::testing::Test {
 
 TEST_F(BufferPoolTest, HitsAvoidDiskReads) {
   BufferPool pool(&disk_, 4);
-  const uint8_t* p = pool.Pin(3);
+  const uint8_t* p = PinOk(pool, 3);
   EXPECT_EQ(p[0], 4);
   pool.Unpin(3);
-  pool.Pin(3);
+  PinOk(pool, 3);
   pool.Unpin(3);
   EXPECT_EQ(pool.hits(), 1u);
   EXPECT_EQ(pool.misses(), 1u);
@@ -71,33 +82,33 @@ TEST_F(BufferPoolTest, HitsAvoidDiskReads) {
 TEST_F(BufferPoolTest, ClockSparesReferencedFramesAndEvictsUnreferenced) {
   BufferPool pool(&disk_, 4);  // one shard, four frames
   for (PageId id = 0; id < 4; ++id) {
-    pool.Pin(id);
+    PinOk(pool, id);
     pool.Unpin(id);
   }
   // Hits set the reference bit; page 3 was loaded and never hit.
   for (PageId id = 0; id < 3; ++id) {
-    pool.Pin(id);
+    PinOk(pool, id);
     pool.Unpin(id);
   }
   EXPECT_EQ(pool.hits(), 3u);
-  pool.Pin(4);  // the hand may pass referenced frames first: they survive
+  PinOk(pool, 4);  // the hand may pass referenced frames first: they survive
   pool.Unpin(4);
   EXPECT_EQ(pool.evictions(), 1u);
   for (PageId id = 0; id < 3; ++id) {  // survivors, re-referenced
-    pool.Pin(id);
+    PinOk(pool, id);
     pool.Unpin(id);
   }
   EXPECT_EQ(pool.hits(), 6u);
   EXPECT_EQ(pool.misses(), 5u);
-  pool.Pin(3);  // page 3 was the victim; page 4 is the only unreferenced
+  PinOk(pool, 3);  // page 3 was the victim; page 4 is the only unreferenced
   pool.Unpin(3);
   EXPECT_EQ(pool.misses(), 6u);
   for (PageId id = 0; id < 4; ++id) {
-    pool.Pin(id);
+    PinOk(pool, id);
     pool.Unpin(id);
   }
   EXPECT_EQ(pool.hits(), 10u);
-  pool.Pin(4);  // evicted in its turn
+  PinOk(pool, 4);  // evicted in its turn
   pool.Unpin(4);
   EXPECT_EQ(pool.misses(), 7u);
 }
@@ -105,32 +116,32 @@ TEST_F(BufferPoolTest, ClockSparesReferencedFramesAndEvictsUnreferenced) {
 TEST_F(BufferPoolTest, SecondChanceLastsOneSweep) {
   BufferPool pool(&disk_, 2);
   for (PageId id : {0u, 1u, 0u, 1u}) {  // load both, then reference both
-    pool.Pin(id);
+    PinOk(pool, id);
     pool.Unpin(id);
   }
   // The first turn of the sweep clears both bits and the second evicts one
   // of them; the survivor is unreferenced now and goes on the next miss,
   // ahead of nothing but the equally unreferenced page 2.
-  pool.Pin(2);
+  PinOk(pool, 2);
   pool.Unpin(2);
-  pool.Pin(3);
+  PinOk(pool, 3);
   pool.Unpin(3);
   EXPECT_EQ(pool.evictions(), 2u);
-  bool missed = false;
-  pool.Pin(0, &missed);
+  BufferPool::PinOutcome first, second;
+  PinOk(pool, 0, &first);
   pool.Unpin(0);
-  EXPECT_TRUE(missed);
-  pool.Pin(1, &missed);
+  EXPECT_TRUE(first.missed);
+  PinOk(pool, 1, &second);
   pool.Unpin(1);
-  EXPECT_TRUE(missed);
+  EXPECT_TRUE(second.missed);
 }
 
 TEST_F(BufferPoolTest, PinnedPagesSurviveEvictionPressure) {
   BufferPool pool(&disk_, 2);
-  const uint8_t* a = pool.Pin(0);
-  pool.Pin(1);
+  const uint8_t* a = PinOk(pool, 0);
+  PinOk(pool, 1);
   pool.Unpin(1);
-  pool.Pin(2);  // must evict 1, not pinned 0
+  PinOk(pool, 2);  // must evict 1, not pinned 0
   pool.Unpin(2);
   EXPECT_EQ(a[0], 1);  // still valid
   pool.Unpin(0);
@@ -142,7 +153,7 @@ TEST_F(BufferPoolTest, DirtyPagesWrittenBackOnEviction) {
     uint8_t* p = pool.PinMutable(5);
     p[0] = 0x77;
     pool.Unpin(5);
-    pool.Pin(6);  // evicts dirty page 5
+    PinOk(pool, 6);  // evicts dirty page 5
     pool.Unpin(6);
   }
   Page check;
@@ -163,13 +174,13 @@ TEST_F(BufferPoolTest, FlushAllPersistsDirtyPages) {
 
 TEST_F(BufferPoolTest, StatsSnapshotMatchesAccessorsAndResets) {
   BufferPool pool(&disk_, 2);
-  pool.Pin(0);
+  PinOk(pool, 0);
   pool.Unpin(0);
-  pool.Pin(0);
+  PinOk(pool, 0);
   pool.Unpin(0);
-  pool.Pin(1);
+  PinOk(pool, 1);
   pool.Unpin(1);
-  pool.Pin(2);  // evicts
+  PinOk(pool, 2);  // evicts
   pool.Unpin(2);
   const BufferPool::Stats stats = pool.stats();
   EXPECT_EQ(stats.hits, pool.hits());
@@ -189,13 +200,13 @@ TEST_F(BufferPoolTest, StatsSnapshotMatchesAccessorsAndResets) {
 
 TEST_F(BufferPoolTest, RepinningKeepsSinglePinAccounting) {
   BufferPool pool(&disk_, 2);
-  pool.Pin(0);
-  pool.Pin(0);  // second pin
+  PinOk(pool, 0);
+  PinOk(pool, 0);  // second pin
   pool.Unpin(0);
   // Still pinned once: cannot be evicted.
-  pool.Pin(1);
+  PinOk(pool, 1);
   pool.Unpin(1);
-  pool.Pin(2);
+  PinOk(pool, 2);
   pool.Unpin(2);
   pool.Unpin(0);
   SUCCEED();
@@ -203,12 +214,12 @@ TEST_F(BufferPoolTest, RepinningKeepsSinglePinAccounting) {
 
 TEST_F(BufferPoolTest, PinReportsPerCallOutcome) {
   BufferPool pool(&disk_, 4);
-  bool missed = false;
-  pool.Pin(3, &missed);
-  EXPECT_TRUE(missed);
+  BufferPool::PinOutcome cold, warm;
+  PinOk(pool, 3, &cold);
+  EXPECT_TRUE(cold.missed);
   pool.Unpin(3);
-  pool.Pin(3, &missed);
-  EXPECT_FALSE(missed);
+  PinOk(pool, 3, &warm);
+  EXPECT_FALSE(warm.missed);
   pool.Unpin(3);
 }
 
@@ -217,7 +228,7 @@ TEST_F(BufferPoolTest, ShardingSplitsCapacityButServesEveryPage) {
   EXPECT_EQ(pool.num_shards(), 2u);
   EXPECT_EQ(pool.capacity(), 8u);
   for (PageId id = 0; id < 8; ++id) {
-    const uint8_t* p = pool.Pin(id);
+    const uint8_t* p = PinOk(pool, id);
     EXPECT_EQ(p[0], id + 1);
     pool.Unpin(id);
   }
@@ -241,8 +252,7 @@ TEST_F(BufferPoolTest, StatsAggregateAcrossShardsUnderConcurrentPinners) {
     threads.emplace_back([&pool, t] {
       for (int i = 0; i < kPinsPerThread; ++i) {
         const PageId id = static_cast<PageId>((t * 3 + i * 7) % 8);
-        bool missed = false;
-        pool.Pin(id, &missed);
+        PinOk(pool, id);
         pool.Unpin(id);
       }
     });
@@ -273,7 +283,7 @@ TEST_F(BufferPoolTest, ConcurrentMissesOnDistinctPagesAllLoadCorrectly) {
     threads.emplace_back([&, t] {
       for (int round = 0; round < 200; ++round) {
         const PageId id = static_cast<PageId>((t + round) % 8);
-        const uint8_t* p = pool.Pin(id);
+        const uint8_t* p = PinOk(pool, id);
         if (p[0] != id + 1) wrong.fetch_add(1);
         pool.Unpin(id);
       }
@@ -326,14 +336,14 @@ TEST_F(BufferPoolTest, ShardCrossingPinMutableDuringEvictionPersistsWrites) {
 TEST_F(BufferPoolTest, ClientKindSplitsHitsMissesAndOccupancy) {
   BufferPool pool(&disk_, 4);
   // Trace client (the default tag) loads pages 0 and 1.
-  pool.Pin(0);
+  PinOk(pool, 0);
   pool.Unpin(0);
-  pool.Pin(1, nullptr, PoolClient::kTrace);
+  PinOk(pool, 1, nullptr, PoolClient::kTrace);
   pool.Unpin(1);
   // Tree client loads page 2, then re-hits page 0 (loaded by kTrace).
-  pool.Pin(2, nullptr, PoolClient::kTree);
+  PinOk(pool, 2, nullptr, PoolClient::kTree);
   pool.Unpin(2);
-  pool.Pin(0, nullptr, PoolClient::kTree);
+  PinOk(pool, 0, nullptr, PoolClient::kTree);
   pool.Unpin(0);
   const auto trace = static_cast<size_t>(PoolClient::kTrace);
   const auto tree = static_cast<size_t>(PoolClient::kTree);
@@ -364,11 +374,11 @@ TEST_F(BufferPoolTest, ClientKindSplitsHitsMissesAndOccupancy) {
   // frame to its loader: fill the remaining frame, hit page 2 so only
   // kTrace pages are unreferenced, then overflow with a tree pin — the
   // clock victim is page 1 or 3 (kTrace; page 0 was hit too).
-  pool.Pin(3, nullptr, PoolClient::kTrace);
+  PinOk(pool, 3, nullptr, PoolClient::kTrace);
   pool.Unpin(3);
-  pool.Pin(2, nullptr, PoolClient::kTree);
+  PinOk(pool, 2, nullptr, PoolClient::kTree);
   pool.Unpin(2);
-  pool.Pin(4, nullptr, PoolClient::kTree);
+  PinOk(pool, 4, nullptr, PoolClient::kTree);
   pool.Unpin(4);
   stats = pool.stats();
   EXPECT_EQ(stats.evictions, 1u);
@@ -488,7 +498,7 @@ TEST_F(BufferPoolDeathTest, UnpinOfNeverPinnedPageAborts) {
 TEST_F(BufferPoolDeathTest, UnpinPastPinCountAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   BufferPool pool(&disk_, 4);
-  pool.Pin(2);
+  PinOk(pool, 2);
   pool.Unpin(2);
   EXPECT_DEATH(pool.Unpin(2), "unpin of unpinned page");
 }
@@ -496,9 +506,9 @@ TEST_F(BufferPoolDeathTest, UnpinPastPinCountAborts) {
 TEST_F(BufferPoolDeathTest, UnpinOfEvictedPageAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   BufferPool pool(&disk_, 1);
-  pool.Pin(0);
+  PinOk(pool, 0);
   pool.Unpin(0);
-  pool.Pin(1);  // evicts 0
+  PinOk(pool, 1);  // evicts 0
   pool.Unpin(1);
   EXPECT_DEATH(pool.Unpin(0), "unpin of non-resident page");
 }
