@@ -46,24 +46,16 @@ void Run(const NamedDataset& nd, BenchJson& json) {
       double io_seconds = 0.0;
       uint64_t cell_read = 0, cell_hit = 0;  // this (frac, k) cell only
       uint64_t cell_prefetch = 0;
-      uint64_t cell_shards_pruned = 0, cell_bounds = 0;
       for (EntityId q : queries) {
         const TopKResult r = index.Query(q, k, measure, qopts);
         io_seconds += r.stats.io.modeled_io_seconds;
         cell_read += r.stats.io.pages_read;
         cell_hit += r.stats.io.pages_hit;
         cell_prefetch += r.stats.io.prefetch_hits;
-        cell_shards_pruned += r.stats.shards_pruned;
-        cell_bounds += r.stats.router_bound_evals;
       }
       json.Counter("lock_wait_seconds", src.pool_stats().lock_wait_seconds);
       json.Counter("prefetch_hits", static_cast<double>(cell_prefetch));
       json.Counter("pages_read", static_cast<double>(cell_read));
-      // Cross-shard pruning counters: structurally zero on this single-index
-      // bench, emitted so the counters section has one schema across benches
-      // (and so a routed variant of this bench would be comparable).
-      json.Counter("shards_pruned", static_cast<double>(cell_shards_pruned));
-      json.Counter("router_bound_evals", static_cast<double>(cell_bounds));
       pages_read += cell_read;
       pages_hit += cell_hit;
       const double wall = timer.ElapsedSeconds();

@@ -14,9 +14,9 @@
 //       the index is a ShardedIndex: S MinSigTrees over a stable-hash
 //       entity partition, per-(query, shard) fan-out and a deterministic
 //       top-k merge — bit-identical answers (tests/sharded_differential_
-//       test.cc), measured here for throughput. --route turns on the
-//       cross-shard pruning layer (coarse router + one forest walk per
-//       query, DESIGN-sharding.md) — still bit-identical, but late shards
+//       test.cc), measured here for throughput. --route searches every
+//       shard tree as one best-first forest walk per query with one global
+//       heap (DESIGN-sharding.md) — still bit-identical, but late shards
 //       stop re-checking candidates the global k-th score already beats.
 //       --compress stores the trace pages delta-packed (util/codec.h):
 //       fewer pages for the same pool fraction, bit-identical answers,
@@ -37,7 +37,7 @@
 //       Registered with CTest so the concurrent storage-backed path is
 //       exercised at scale on every run (plus Release-only 100K x 4-shard
 //       and routed 20K presets). Emits a "counters" section
-//       (lock_wait_seconds, prefetch_hits, shards_pruned, ...) alongside
+//       (lock_wait_seconds, prefetch_hits, pool_evictions, ...) alongside
 //       the rows.
 //   bench_scalability --snapshot [|E|] [--workers N] [--shards S]
 //                     [--compress]
@@ -205,7 +205,6 @@ void RunDisk(uint32_t entities, int workers, int prefetch, int shards,
       "index_s=%.2f\n"
       "queries=%zu PE=%.4f checked/query=%.1f pages/query=%.1f "
       "hit_rate=%.3f lock_wait=%.4fs prefetch_hits/query=%.1f "
-      "shards_pruned/query=%.1f "
       "qps=%.1f (wall, excl. modeled I/O %.2fs/query)\n",
       d.num_entities(), src.num_pages(), opts.pool_fraction,
       src.pool_shards(), shards, workers, prefetch, route ? 1 : 0,
@@ -218,7 +217,7 @@ void RunDisk(uint32_t entities, int workers, int prefetch, int shards,
       cstats.reader_blocked_ns / 1e6, cstats.writer_blocked_ns / 1e6,
       index_seconds, queries.size(), pe.mean_pe,
       pe.mean_entities_checked, pe.mean_pages_read, pool.hit_rate(),
-      pool.lock_wait_seconds, pe.mean_prefetch_hits, pe.mean_shards_pruned,
+      pool.lock_wait_seconds, pe.mean_prefetch_hits,
       queries.size() / wall, pe.mean_io_seconds);
   json.AddRow()
       .Str("mode", "disk")
@@ -246,9 +245,6 @@ void RunDisk(uint32_t entities, int workers, int prefetch, int shards,
   json.Counter("prefetch_hits", pe.mean_prefetch_hits * queries.size());
   json.Counter("pages_read", pe.mean_pages_read * queries.size());
   json.Counter("pool_evictions", static_cast<double>(pool.evictions));
-  json.Counter("shards_pruned", pe.mean_shards_pruned * queries.size());
-  json.Counter("router_bound_evals",
-               pe.mean_router_bound_evals * queries.size());
   // Storage-footprint counters: compressed_bytes is what the pages hold,
   // raw_bytes what the uncompressed writer would have occupied (equal when
   // --compress is off). Informational in check_regression.py.

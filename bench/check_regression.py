@@ -10,7 +10,7 @@ Both files are BENCH_*.json emissions ({"bench": ..., "rows": [...],
 for each matched pair with a positive baseline `queries_per_sec`, the
 current value must be at least (1 - max_drop) * baseline. Exits non-zero
 listing every regressed row, so CI can gate on it. The run-wide counters
-(lock_wait_seconds, prefetch_hits, shards_pruned, ...) are printed as
+(lock_wait_seconds, prefetch_hits, pages_read, ...) are printed as
 informational deltas next to the gate — they explain qps moves but never
 fail the check.
 
@@ -54,7 +54,7 @@ MEASUREMENT_FIELDS = {
 
 # Counters reported as informational deltas next to the qps gate (never
 # gated): run-wide perf signals whose drift explains a qps move — lock
-# contention, prefetch engagement, shards skipped by the coarse router, ...
+# contention, prefetch engagement, pool evictions, ...
 INFORMATIONAL_COUNTERS = (
     "lock_wait_seconds",
     "prefetch_hits",
@@ -62,8 +62,6 @@ INFORMATIONAL_COUNTERS = (
     "tree_pages_read",
     "tree_page_hits",
     "pool_evictions",
-    "shards_pruned",
-    "router_bound_evals",
     "compressed_bytes",
     "raw_bytes",
     "compression_ratio",

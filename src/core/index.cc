@@ -216,14 +216,6 @@ const TreeSource& DigitalTraceIndex::QueryTree() const {
   return tree_;
 }
 
-std::vector<uint64_t> DigitalTraceIndex::CoarseSignature(Level level) const {
-  const RWLatch::ReadGuard guard(cc_->latch);
-  std::vector<uint64_t> sig(
-      static_cast<size_t>(hasher_->num_functions()));
-  tree_.CoarseSignature(sigs_, level, sig);
-  return sig;
-}
-
 DigitalTraceIndex::ConcurrencyStats DigitalTraceIndex::concurrency_stats()
     const {
   ConcurrencyStats stats;

@@ -8,7 +8,10 @@
 //   traces[_s]  — per-entity per-level cell lists (raw or codec-packed),
 //                 MVCC overrides resolved at the captured commit
 //   tree[_s]    — MinSigTree node records, verbatim
-//   router      — per-shard coarse signatures (sharded snapshots only)
+//
+// Sections are looked up by name, so a section no decoder asks for (the
+// "router" section older sharded snapshots carry) is checksum-verified by
+// the manifest scan and otherwise ignored.
 //
 // Loading rebuilds every component from these sections alone — hierarchy
 // through its Builder, the store through its RestoredCells constructor, the
@@ -361,38 +364,6 @@ Status DecodeTree(std::span<const uint8_t> payload, const SnapshotConfig& cfg,
   return Status::Ok();
 }
 
-void EncodeRouter(const CoarseShardRouter& router, SnapshotBuffer* out) {
-  const int num_shards = router.num_shards();
-  const int nh = router.num_functions();
-  out->PutU32(static_cast<uint32_t>(num_shards));
-  out->PutU32(static_cast<uint32_t>(nh));
-  for (int s = 0; s < num_shards; ++s) {
-    const std::vector<uint64_t> sig = router.SnapshotSignature(s);
-    out->PutBytes(sig.data(), sig.size() * sizeof(uint64_t));
-  }
-}
-
-Status DecodeRouter(std::span<const uint8_t> payload,
-                    const SnapshotConfig& cfg, CoarseShardRouter* router) {
-  SnapshotCursor cur(payload);
-  uint32_t num_shards = 0, nh = 0;
-  if (!cur.GetU32(&num_shards) || !cur.GetU32(&nh) ||
-      num_shards != cfg.num_shards || nh != cfg.num_functions) {
-    return Status::Corruption("snapshot router header mismatch");
-  }
-  std::vector<uint64_t> sig(nh);
-  for (uint32_t s = 0; s < num_shards; ++s) {
-    if (!cur.GetBytes(sig.data(), sig.size() * sizeof(uint64_t))) {
-      return Status::Corruption("snapshot router section truncated");
-    }
-    router->SetShardSignature(static_cast<int>(s), sig);
-  }
-  if (!cur.AtEnd()) {
-    return Status::Corruption("snapshot router trailing bytes");
-  }
-  return Status::Ok();
-}
-
 std::string ShardSectionName(const char* base, int s) {
   return std::string(base) + "_" + std::to_string(s);
 }
@@ -513,15 +484,6 @@ Status ShardedIndex::SaveSnapshot(SnapshotEnv* env, bool compress) const {
     s = writer.AddSection(ShardSectionName("tree", shard), tree.bytes());
     if (!s.ok()) return s;
   }
-  // The router snapshots LAST: every entity captured in a shard tree above
-  // had its signature absorbed before that shard's commit, so a read taken
-  // after all tree captures covers every captured member. Slots lowered by
-  // in-flight (uncaptured) inserts only loosen restored bounds — the
-  // stale-LOW rule, admissible as always.
-  SnapshotBuffer router;
-  EncodeRouter(router_, &router);
-  s = writer.AddSection("router", router.bytes());
-  if (!s.ok()) return s;
   return writer.Commit();
 }
 
@@ -587,11 +549,6 @@ Status ShardedIndex::LoadSnapshot(const SnapshotEnv& env,
         store, options.index, MakeHasher(*store, options.index),
         std::move(*tree), /*build_seconds=*/0.0));
   }
-  s = ReadSnapshotSection(env, manifest, "router", &payload);
-  if (!s.ok()) return s;
-  s = DecodeRouter(payload, cfg, &index->router_);
-  if (!s.ok()) return s;
-
   out->hierarchy = std::move(hierarchy);
   out->store = std::move(store);
   out->index = std::move(index);

@@ -411,14 +411,10 @@ TopKResult ForestTopKQuery(std::span<const SearchLane> lanes,
   // Reused across queries on this thread (QueryMany workers each have their
   // own): the table is fully overwritten per query, so only its capacity
   // survives — the ~per-query-MB allocation and first-touch faults do not
-  // repeat. cell_min[l-1][i] = min over u of h_u of the query's i-th
-  // level-l cell, collected while the table is filled; it powers the lane
-  // bounds' quick-accept below.
+  // repeat.
   static thread_local std::vector<std::vector<uint64_t>> hash_table;
-  static thread_local std::vector<std::vector<uint64_t>> cell_min;
   static thread_local std::vector<uint64_t> hash_row;
   hash_table.resize(m);
-  cell_min.resize(m);
   hash_row.resize(nh);
   // Mask geometry: level l's mask is word_count[l-1] words; a Remaining with
   // base b stores levels b..m at offset word_prefix[l-1] - word_prefix[b-1].
@@ -437,17 +433,12 @@ TopKResult ForestTopKQuery(std::span<const SearchLane> lanes,
     word_count[l - 1] = (n + 63) / 64;
     word_prefix[l] = word_prefix[l - 1] + word_count[l - 1];
     auto& table = hash_table[l - 1];
-    auto& mins = cell_min[l - 1];
     table.resize(n * static_cast<size_t>(nh));
-    mins.resize(n);
     for (size_t i = 0; i < n; ++i) {
       hasher.HashAll(l, cells[i], hash_row.data());
-      uint64_t mn = ~uint64_t{0};
       for (int u = 0; u < nh; ++u) {
         table[static_cast<size_t>(u) * n + i] = hash_row[u];
-        mn = std::min(mn, hash_row[u]);
       }
-      mins[i] = mn;
     }
     stats.hash_evals += n * static_cast<size_t>(nh);
   }
@@ -474,65 +465,15 @@ TopKResult ForestTopKQuery(std::span<const SearchLane> lanes,
   static thread_local FrontierHeap frontier;
   frontier.Clear();
   uint64_t order = 0;
-  // Per-lane population-wide root bounds from the coarse signatures (the
-  // shared router's level-1 extraction): a query cell at any level can
-  // belong to some lane member only if every one of its hashes dominates
-  // the lane signature (Theorem 2 with the lane as the group, valid across
-  // levels by the hash family's parent constraint). Evaluated straight off
-  // the transposed hash table — no hashing beyond what the search already
-  // paid.
+  // Every lane's root enters the one shared frontier at the root bound.
+  // All roots share root_remaining (no filtering has happened yet).
   const double root_ub = measure.UpperBound(q_sizes, root_remaining->counts);
-  std::vector<double> lane_bound(lanes.size(), root_ub);
-  {
-    std::vector<uint32_t> remaining(m);
-    for (size_t lane = 0; lane < lanes.size(); ++lane) {
-      const std::span<const uint64_t> sig = lanes[lane].coarse_sig;
-      if (sig.empty()) continue;
-      DT_CHECK(static_cast<int>(sig.size()) == nh);
-      ++stats.router_bound_evals;
-      // Quick accept: a cell whose *smallest* hash clears the lane's
-      // *largest* signature value dominates at every position; only the
-      // rare remainder pays the per-function scan. Lane signatures are
-      // mins over whole shard populations (tiny values), so nearly every
-      // cell takes the one-compare path.
-      uint64_t max_sig = 0;
-      for (int u = 0; u < nh; ++u) max_sig = std::max(max_sig, sig[u]);
-      for (Level l = 1; l <= m; ++l) {
-        const size_t n = q_sizes[l - 1];
-        const uint64_t* table = hash_table[l - 1].data();
-        const uint64_t* mins = cell_min[l - 1].data();
-        uint32_t count = 0;
-        for (size_t i = 0; i < n; ++i) {
-          if (mins[i] >= max_sig) {
-            ++count;
-            continue;
-          }
-          bool alive = true;
-          for (int u = 0; u < nh; ++u) {
-            if (table[static_cast<size_t>(u) * n + i] < sig[u]) {
-              alive = false;
-              break;
-            }
-          }
-          count += alive ? 1 : 0;
-        }
-        remaining[l - 1] = count;
-      }
-      lane_bound[lane] = measure.UpperBound(q_sizes, remaining);
-    }
-  }
-  // Every lane's root enters the one shared frontier, carrying the lane's
-  // cap: a lane whose bound cannot reach the k-th score sinks below the
-  // termination point and is skipped outright. All roots share
-  // root_remaining (no filtering has happened yet).
   root_remaining->refs = static_cast<uint32_t>(lanes.size());
   for (uint32_t lane = 0; lane < lanes.size(); ++lane) {
-    frontier.push({lane_bound[lane], lanes[lane].tree->root(), lane, order++,
+    frontier.push({root_ub, lanes[lane].tree->root(), lane, order++,
                    /*materialized=*/true, root_remaining});
     ++stats.heap_pushes;
   }
-  // Lanes whose root gets expanded; the rest were pruned whole.
-  std::vector<char> lane_expanded(lanes.size(), 0);
 
   // Filters `parent` through `node`'s (routing, value) — or its full group
   // signature when stored — producing the node's own Remaining (Theorem 2:
@@ -750,7 +691,6 @@ TopKResult ForestTopKQuery(std::span<const SearchLane> lanes,
         }
       }
       ++stats.nodes_visited;
-      lane_expanded[entry.lane] = 1;
 
       if (node.level == m) {
         // Leaf: exact evaluation of every member (Lines 10-14), through
@@ -792,9 +732,6 @@ TopKResult ForestTopKQuery(std::span<const SearchLane> lanes,
     }
   }
 
-  for (char expanded : lane_expanded) {
-    if (!expanded) ++stats.shards_pruned;
-  }
   result.items = std::move(heap).Sorted();
   stats.io.Add(cursor->io());
   search_status.Update(cursor->status());
@@ -820,7 +757,7 @@ TopKResult TopKQueryProcessor::Query(EntityId q, int k,
   // The lane reads candidates at the same version the query side does, so
   // the one-lane forest shares the query cursor and charges I/O exactly
   // like the historical single-tree search.
-  const SearchLane lane{tree_, source_, /*coarse_sig=*/{}, options.trace_as_of};
+  const SearchLane lane{tree_, source_, options.trace_as_of};
   return ForestTopKQuery({&lane, 1}, *source_, *hasher_, *measure_, q, k,
                          options);
 }

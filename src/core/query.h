@@ -26,16 +26,14 @@ struct QueryStats {
   // table, these happen once up front (|query cells| * nh); node filtering
   // itself is table lookups and charges nothing here.
   uint64_t hash_evals = 0;
-  /// Cross-shard pruning layer (core/sharded_index.h): whole shards skipped
-  /// by the coarse router because their population-wide upper bound could
-  /// not beat the certified global k-th score, and coarse-router bound
-  /// evaluations performed (one per shard per routed query). Both zero for
-  /// unrouted / single-index queries; MergeShardTopK sums them like the
-  /// other counters.
+  /// Always 0, all three: no search skips whole shards by a per-shard
+  /// coarse bound, evaluates such a bound, or shares a k-th-score watermark
+  /// any more (a hash partition makes every shard a uniform sample, so a
+  /// per-shard bound never beat the certified k-th; DESIGN-sharding.md
+  /// "Cost model"). Kept only because perfbench/src/workloads.cc still
+  /// sums them.
   uint64_t shards_pruned = 0;
   uint64_t router_bound_evals = 0;
-  /// Always 0 (no search shares a k-th-score watermark any more); kept
-  /// only because perfbench/src/workloads.cc still sums it.
   uint64_t threshold_updates = 0;
   /// Unrecoverable tree pages the index quarantined and repacked away after
   /// this query hit them (core/index.cc's repair path; DESIGN-storage.md
@@ -130,32 +128,26 @@ struct QueryOptions {
   /// synchronous path would, in the same order — only wall time improves.
   /// Ignored by in-memory sources.
   int prefetch_depth = 0;
-  /// Cross-shard pruning layer (read by ShardedIndex only; single-index
-  /// queries ignore it): search every shard as one forest walk
-  /// (ForestTopKQuery) — each shard's root capped by its coarse-router
-  /// bound, whole shards skipped when that bound cannot beat the certified
-  /// global k-th score. Results stay bit-identical to the unrouted fan-out
-  /// (and to the single-tree oracle); only QueryStats counters shrink. The
-  /// identity proof needs exact mode, so routing is ignored when
-  /// approximation_epsilon > 0 (the fan-out falls back to the unrouted
-  /// grid, whose approximate traversal is at least run-deterministic). Off
-  /// by default because the forest walk is serial, while the unrouted
-  /// fan-out overlaps the shards' searches in wall time.
+  /// Cross-shard forest walk (read by ShardedIndex only; single-index
+  /// queries ignore it): search every shard as one best-first forest walk
+  /// (ForestTopKQuery) with one global heap, so late shards prune against
+  /// the certified global k-th score. Results stay bit-identical to the
+  /// unrouted fan-out (and to the single-tree oracle); only QueryStats
+  /// counters shrink. The identity proof needs exact mode, so routing is
+  /// ignored when approximation_epsilon > 0 (the fan-out falls back to the
+  /// unrouted grid, whose approximate traversal is at least
+  /// run-deterministic). Off by default because the forest walk is serial,
+  /// while the unrouted fan-out overlaps the shards' searches in wall time.
   bool cross_shard_routing = false;
 };
 
 /// One lane of a forest search (the routed ShardedIndex query): a tree
 /// (an in-memory MinSigTree or its paged snapshot — any TreeSource) over a
-/// slice of the entity population, the source its
-/// candidate traces are read from, and the lane's population-wide coarse
-/// signature (the shared router's level-1 min-signature over every member;
-/// empty = uncapped). The search derives each lane's admissible root bound
-/// from the coarse signature using its own transposed hash table, so the
-/// router costs no extra hashing per query.
+/// slice of the entity population and the source its candidate traces are
+/// read from.
 struct SearchLane {
   const TreeSource* tree = nullptr;
   const TraceSource* source = nullptr;
-  std::span<const uint64_t> coarse_sig = {};
   /// Commit version this lane's candidate traces are read as of (the
   /// version of the lane's read pin, matching the pinned tree above).
   /// Ignored by unversioned sources. Default: latest.
@@ -164,11 +156,8 @@ struct SearchLane {
 
 /// Exact top-k over a *forest* of MinSigTrees that partition the entity
 /// population, searched as ONE best-first expansion: a single frontier
-/// holds every lane's nodes (each lane's root enters with its bound capped
-/// by the coarse-signature bound, so weakly-bounded lanes sink and are
-/// skipped outright when early termination fires first), and a single
-/// global heap supplies the k-th score every pruning decision compares
-/// against. A multi-lane
+/// holds every lane's nodes, and a single global heap supplies the k-th
+/// score every pruning decision compares against. A multi-lane
 /// search therefore prunes exactly like the one big tree the lanes were
 /// split from — the recovery of the sharded pruning loss
 /// (DESIGN-sharding.md) — and per-query state (the transposed hash table,
@@ -183,7 +172,6 @@ struct SearchLane {
 /// 1-lane forest charges I/O exactly like TopKQueryProcessor::Query).
 /// Results are bit-identical to the single-tree search over the union
 /// population, by the same strict-termination tie canonicalization.
-/// QueryStats::shards_pruned counts lanes whose root was never expanded.
 TopKResult ForestTopKQuery(std::span<const SearchLane> lanes,
                            const TraceSource& query_source,
                            const CellHasher& hasher,

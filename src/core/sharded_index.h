@@ -9,7 +9,6 @@
 
 #include "core/index.h"
 #include "core/query.h"
-#include "core/shard_router.h"
 #include "trace/trace_store.h"
 #include "trace/types.h"
 #include "util/status.h"
@@ -32,8 +31,8 @@ uint32_t ShardOfEntity(EntityId e, uint32_t num_shards);
 /// empty result; k beyond the union keeps everything). Shards partition the
 /// entity space, so ids never collide across inputs and the merge needs no
 /// deduplication. Counter stats (nodes_visited, entities_checked,
-/// heap_pushes, hash_evals, shards_pruned, router_bound_evals,
-/// pages_quarantined), work_seconds, and TraceIoStats sum across shards.
+/// heap_pushes, hash_evals, pages_quarantined), work_seconds, and
+/// TraceIoStats sum across shards.
 /// elapsed_seconds also sums, but callers measuring the wall time of a
 /// parallel fan-out overwrite it — the summed per-shard work stays
 /// available in work_seconds.
@@ -87,42 +86,26 @@ struct ShardedIndexOptions {
 /// sum; hash_evals grows with the shard count since every shard hashes the
 /// query's cells against its own tree — the fan-out cost of sharding).
 ///
-/// Cross-shard pruning (QueryOptions::cross_shard_routing): every build
-/// also extracts a shared coarse routing level — one population-wide
-/// level-1 min-signature per shard (CoarseShardRouter) over the same hash
-/// family. A routed query searches every shard tree as one best-first
-/// forest walk (ForestTopKQuery): each shard's root enters one shared
-/// frontier capped by its coarse bound, and one global heap certifies the
-/// k-th score, so shards whose bound cannot beat it are skipped whole and
-/// late shards terminate with the pruning power of the big single tree.
-/// Results stay bit-identical to the unrouted fan-out and the single-tree
-/// oracle (the strict-tie canonicalization in core/query.cc is what makes
-/// this safe); only the work counters shrink.
-/// The identity argument needs exact search, so routing is ignored when
-/// QueryOptions::approximation_epsilon > 0.
-/// The router is maintained through the same insert/update/remove/Refresh
-/// conventions as the shard trees (min-merge on insert, stale-low after
-/// removal, tight again after Refresh).
+/// Cross-shard forest walk (QueryOptions::cross_shard_routing): a routed
+/// query searches every shard tree as one best-first forest walk
+/// (ForestTopKQuery): every shard's root enters one shared frontier and
+/// one global heap certifies the k-th score, so late shards terminate with
+/// the pruning power of the big single tree. Results stay bit-identical to
+/// the unrouted fan-out and the single-tree oracle (the strict-tie
+/// canonicalization in core/query.cc is what makes this safe); only the
+/// work counters shrink. The identity argument needs exact search, so
+/// routing is ignored when QueryOptions::approximation_epsilon > 0.
 ///
 /// Concurrency (DESIGN-sharding.md "Concurrency model"): queries may run
 /// concurrently with maintenance. Each shard carries its own
 /// DigitalTraceIndex reader/writer coordination, so a writer committing
 /// into one shard never stalls the fan-out into the others; every query
 /// path reads through per-shard ReadPins (taken inside the per-shard Query,
-/// or explicitly for the forest walk). Router slots publish
-/// asynchronously under the stale-LOW rule: Absorb runs BEFORE the shard
-/// tree commit (a reader that sees the new entity has certainly seen its
-/// signature absorbed), removals leave slots loose, and the one raising
-/// write — Refresh — lands strictly after the refreshed tree publishes.
-/// Routed queries validate that a shard's version did not move between the
-/// bound's signature read and the pin, and fall back to not pruning that
-/// shard otherwise — bounds stay admissible for exactly the tree state the
-/// query reads. ReplaceEntity (trace mutation) is
-/// covered by the same protocol: the new trace's coarse signature is
-/// absorbed into the router BEFORE the owning shard's {store override,
-/// tree update} commit, and readers score traces as of their per-shard pin
-/// versions (SearchLane::as_of), so no query ever mixes a shard's old tree
-/// with its new trace or vice versa. (The query entity's own trace is read
+/// or explicitly for the forest walk). ReplaceEntity (trace mutation)
+/// commits the owning shard's {store override, tree update} as one unit,
+/// and readers score traces as of their per-shard pin versions
+/// (SearchLane::as_of), so no query ever mixes a shard's old tree with its
+/// new trace or vice versa. (The query entity's own trace is read
 /// at latest — its version stamps are shard-local, and a caller replacing
 /// the very entity it queries concurrently gets one side or the other of
 /// the replacement, both self-consistent.)
@@ -174,12 +157,8 @@ class ShardedIndex {
   void UpdateEntity(EntityId e);
 
   /// Replaces entity `e`'s trace AND re-indexes it in its owning shard as
-  /// one atomic per-shard commit (DigitalTraceIndex::ReplaceEntity). The
-  /// new trace's coarse signature is min-merged into the router before the
-  /// commit — computed from `records` directly, since the store still
-  /// serves the old trace at that point — keeping routed bounds admissible
-  /// throughout (absorb-before-commit, as for inserts). Safe to call
-  /// concurrently with queries.
+  /// one atomic per-shard commit (DigitalTraceIndex::ReplaceEntity). Safe
+  /// to call concurrently with queries.
   void ReplaceEntity(EntityId e, const std::vector<PresenceRecord>& records);
 
   /// Removes an entity from its shard's tree.
@@ -210,7 +189,6 @@ class ShardedIndex {
         ShardOfEntity(e, static_cast<uint32_t>(shards_.size())));
   }
   const DigitalTraceIndex& shard(int s) const { return *shards_[s]; }
-  const CoarseShardRouter& router() const { return router_; }
   const TraceStore& store() const { return *store_; }
   const ShardedIndexOptions& options() const { return options_; }
 
@@ -218,17 +196,16 @@ class ShardedIndex {
   /// bench_scalability --writer-threads).
   DigitalTraceIndex::ConcurrencyStats concurrency_stats() const;
 
-  /// Serializes every shard — shared config/hierarchy/router sections plus
+  /// Serializes every shard — shared config/hierarchy sections plus
   /// per-shard trace partitions (by ShardOfEntity) and tree sections — as
   /// one crash-atomic snapshot commit (storage/snapshot.h). Each shard's
   /// trace+tree pair is captured under that shard's read latch, so every
   /// shard section is internally consistent (the same per-shard version
-  /// vector queries already run against); router slots are snapshotted
-  /// per shard and stay admissible under the stale-LOW rule.
+  /// vector queries already run against).
   Status SaveSnapshot(SnapshotEnv* env, bool compress = false) const;
 
   /// Restores the newest fully-valid sharded snapshot in `env` — bit
-  /// identical shard trees, traces, router state, and hash families, with
+  /// identical shard trees, traces, and hash families, with
   /// fresh per-shard concurrency state. kCorruption when no valid snapshot
   /// exists or the newest valid one is a single-index snapshot.
   static Status LoadSnapshot(const SnapshotEnv& env, LoadedShardedIndex* out);
@@ -242,28 +219,16 @@ class ShardedIndex {
 
  private:
   ShardedIndex(std::shared_ptr<TraceStore> store, ShardedIndexOptions options)
-      : store_(std::move(store)),
-        options_(options),
-        router_(options.num_shards, options.index.num_functions) {}
+      : store_(std::move(store)), options_(options) {}
 
-  /// Recomputes shard `s`'s coarse router signature from its tree's current
-  /// members (build and Refresh paths; writes only shard s's slot, so
-  /// per-shard calls may run in parallel).
-  void RefreshRouterShard(int s);
-  /// Min-merges entity `e`'s level-1 signature into shard `s`'s router
-  /// signature (insert/update paths). Called BEFORE the shard tree commit
-  /// so no reader can see the entity in the tree uncovered by the router
-  /// bound (early absorption only lowers slots — admissible).
-  void AbsorbIntoRouter(int s, EntityId e);
   /// The routed query behind Query/QueryMany when
-  /// options.cross_shard_routing is set: pins every shard with its coarse
-  /// signature and runs one ForestTopKQuery over them.
+  /// options.cross_shard_routing is set: pins every shard and runs one
+  /// ForestTopKQuery over them.
   TopKResult RoutedQuery(EntityId q, int k, const AssociationMeasure& measure,
                          const QueryOptions& options) const;
 
   std::shared_ptr<TraceStore> store_;
   ShardedIndexOptions options_;
-  CoarseShardRouter router_;
   std::vector<std::unique_ptr<DigitalTraceIndex>> shards_;
   std::vector<const TraceSource*> shard_sources_;  // null = default source
   double build_seconds_ = 0.0;

@@ -38,9 +38,6 @@ PeMeasurement AggregatePe(std::span<const TopKResult> results,
     agg.mean_tree_pages_read += static_cast<double>(r.stats.io.tree_pages_read);
     agg.mean_tree_page_hits += static_cast<double>(r.stats.io.tree_page_hits);
     agg.mean_prefetch_hits += static_cast<double>(r.stats.io.prefetch_hits);
-    agg.mean_shards_pruned += static_cast<double>(r.stats.shards_pruned);
-    agg.mean_router_bound_evals +=
-        static_cast<double>(r.stats.router_bound_evals);
     agg.mean_work_seconds += r.stats.work_seconds;
     agg.mean_io_retries += static_cast<double>(r.stats.io.io_retries);
     agg.mean_checksum_failures +=
@@ -62,8 +59,6 @@ PeMeasurement AggregatePe(std::span<const TopKResult> results,
     agg.mean_tree_pages_read /= n;
     agg.mean_tree_page_hits /= n;
     agg.mean_prefetch_hits /= n;
-    agg.mean_shards_pruned /= n;
-    agg.mean_router_bound_evals /= n;
     agg.mean_work_seconds /= n;
     agg.mean_io_retries /= n;
     agg.mean_checksum_failures /= n;

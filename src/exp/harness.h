@@ -28,11 +28,6 @@ struct PeMeasurement {
   /// Records served by the leaf-prefetch pipeline, averaged per query
   /// (zero with QueryOptions::prefetch_depth = 0).
   double mean_prefetch_hits = 0.0;
-  /// Cross-shard pruning layer, averaged per query (all zero for unrouted
-  /// or single-index runs): shards skipped by the coarse router and
-  /// coarse-router bound evaluations.
-  double mean_shards_pruned = 0.0;
-  double mean_router_bound_evals = 0.0;
   /// Summed per-shard search work per query (QueryStats::work_seconds) —
   /// distinct from mean_query_seconds, which reflects elapsed_seconds and
   /// may be fan-out wall time.

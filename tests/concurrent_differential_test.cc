@@ -418,14 +418,13 @@ TEST(ConcurrentDifferentialTest, CompressedPagedTreesAcrossShardCounts) {
 }
 
 TEST(ConcurrentDifferentialTest, RoutedForestWalkRepinDoesNotDeadlock) {
-  // The serial routed walk re-pins a shard whose version moved inside its
-  // version -> signature -> pin handshake. On in-memory trees a pin holds
-  // the shard's read latch, and the writer-preference latch queues a new
-  // read acquisition behind a waiting writer — so re-pinning while the
-  // previous attempt's pin is still held waits on a writer that waits on
-  // that very pin. Readers run routed serial walks while a writer commits
-  // back to back (every commit both moves the version and queues the next
-  // write); a watchdog fails the test instead of letting it hang.
+  // The serial routed walk holds one read pin per shard for the whole
+  // search. On in-memory trees a pin holds the shard's read latch, and the
+  // writer-preference latch queues a new read acquisition behind a waiting
+  // writer — so pinning any shard twice, or a writer that waited on one
+  // shard while holding another, would hang the walk. Readers run routed
+  // serial walks while a writer commits back to back (every commit queues
+  // the next write); a watchdog fails the test instead of letting it hang.
   constexpr uint32_t kEntities = 240;
   constexpr auto kRun = std::chrono::milliseconds(1500);
   constexpr auto kWatchdog = std::chrono::seconds(60);

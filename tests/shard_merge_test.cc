@@ -103,8 +103,6 @@ TEST(ShardMergeTest, AggregatesStatsAcrossShards) {
   a.stats.entities_checked = 10;
   a.stats.heap_pushes = 5;
   a.stats.hash_evals = 100;
-  a.stats.shards_pruned = 1;
-  a.stats.router_bound_evals = 4;
   a.stats.elapsed_seconds = 0.25;
   a.stats.work_seconds = 0.2;
   a.stats.io.pages_read = 7;
@@ -116,8 +114,6 @@ TEST(ShardMergeTest, AggregatesStatsAcrossShards) {
   b.stats.entities_checked = 12;
   b.stats.heap_pushes = 6;
   b.stats.hash_evals = 100;
-  b.stats.shards_pruned = 2;
-  b.stats.router_bound_evals = 4;
   b.stats.elapsed_seconds = 0.5;
   b.stats.work_seconds = 0.4;
   b.stats.io.pages_read = 3;
@@ -131,8 +127,6 @@ TEST(ShardMergeTest, AggregatesStatsAcrossShards) {
   EXPECT_EQ(merged.stats.entities_checked, 22u);
   EXPECT_EQ(merged.stats.heap_pushes, 11u);
   EXPECT_EQ(merged.stats.hash_evals, 200u);
-  EXPECT_EQ(merged.stats.shards_pruned, 3u);
-  EXPECT_EQ(merged.stats.router_bound_evals, 8u);
   EXPECT_DOUBLE_EQ(merged.stats.elapsed_seconds, 0.75);
   // work_seconds sums independently of elapsed_seconds, so a fan-out caller
   // overwriting elapsed with wall time no longer loses the summed work.

@@ -4,8 +4,8 @@
 // InsertBatch, ReplaceEntity + UpdateEntity + RemoveEntity + Refresh — runs
 // against ShardedIndex instances at {1, 2, 4, 7} shards, over both storage
 // backends (in-memory TraceStore and PagedTraceSource, shared or per-shard
-// pools), across thread counts, and with the cross-shard pruning layer
-// (coarse router + one forest walk per query) off, on, and mixed — and
+// pools), across thread counts, and with the cross-shard forest walk (one
+// best-first search over every shard tree per query) off, on, and mixed — and
 // every configuration must return results bit-identical to the single-tree
 // DigitalTraceIndex oracle, with routed runs checking monotonically
 // non-increasing entity counts vs the unrouted fan-out, and routed counters
@@ -116,9 +116,9 @@ std::vector<QueryPlan> MakePlans(const World& w, size_t count, uint64_t seed) {
 
 // Every sharded configuration must reproduce the oracle bit for bit, for
 // every shard count, across shard-fan-out thread counts, and with the
-// cross-shard pruning layer (coarse router + forest walk) both off and on.
+// cross-shard forest walk both off and on.
 // Routed runs must additionally never check more entities than the
-// unrouted fan-out — the layer exists to prune, and pruning only ever
+// unrouted fan-out — the walk exists to prune, and pruning only ever
 // removes exact evaluations — and, being one serial forest walk whatever
 // shard_threads says, report identical counters and io for every value.
 void CheckAgainstOracle(const World& w, const std::vector<QueryPlan>& plans) {
@@ -450,7 +450,7 @@ TEST(ShardedDifferentialTest, MixedRoutingSweepStaysAligned) {
   // Routing is a pure per-query choice: interleaving routed and unrouted
   // queries on the same index (and flipping the flag between repetitions of
   // the same query) must leave every answer bit-identical to the oracle —
-  // no cross-query state leaks through the router.
+  // no cross-query state leaks through the forest walk.
   World w(500, /*data_seed=*/97, Range(0, 500));
   PolynomialLevelMeasure measure(w.dataset.hierarchy->num_levels());
   const auto plans = MakePlans(w, 8, /*seed=*/307);
@@ -795,16 +795,28 @@ TEST(ShardedDifferentialTest, CompressedPagedTreesKeepSearchCountersExact) {
 TEST(ShardedDifferentialTest, ManyShardsOnTinyPopulations) {
   // More shards than "natural" group sizes: some shards end up tiny or
   // empty, k routinely exceeds per-shard candidate counts, and the merge
-  // must still reproduce the oracle (including k near |E|).
-  World w(500, /*data_seed=*/97, Range(0, 30));
-  PolynomialLevelMeasure measure(w.dataset.hierarchy->num_levels());
-  const auto queries = SampleQueries(*w.dataset.store, 4, 54);
-  for (EntityId q : queries) {
+  // must still reproduce the oracle (including k near |E|). The 3-entity
+  // population leaves several of the 7 shards empty: the routed forest walk
+  // pops their roots and expands them to nothing, and routed Query and
+  // QueryMany must still equal the oracle.
+  for (const auto& population : {Range(0, 30), Range(0, 3)}) {
+    World w(500, /*data_seed=*/97, population);
+    PolynomialLevelMeasure measure(w.dataset.hierarchy->num_levels());
+    const auto queries = SampleQueries(*w.dataset.store, 4, 54);
+    QueryOptions routed;
+    routed.cross_shard_routing = true;
     for (int k : {1, 5, 29, 30, 100}) {
-      const TopKResult expected = w.oracle->Query(q, k, measure);
       for (auto& sharded : w.sharded) {
-        ExpectIdentical(expected, sharded->Query(q, k, measure),
-                        "tiny population");
+        const auto many = sharded->QueryMany(queries, k, measure, routed);
+        for (size_t i = 0; i < queries.size(); ++i) {
+          const EntityId q = queries[i];
+          const TopKResult expected = w.oracle->Query(q, k, measure);
+          ExpectIdentical(expected, sharded->Query(q, k, measure),
+                          "tiny population");
+          ExpectIdentical(expected, sharded->Query(q, k, measure, routed),
+                          "tiny population routed");
+          ExpectIdentical(expected, many[i], "tiny population routed batch");
+        }
       }
     }
   }
